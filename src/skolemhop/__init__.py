@@ -8,9 +8,6 @@ experiments.
 
 from .hopping import (
     ALL_CHANNELS,
-    ChannelSchedule,
-    DriftedView,
-    HopFrame,
     canonical_drift,
     delivery_channels,
     delivery_slots,

@@ -11,6 +11,7 @@ variation never perturbs existing results.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -74,6 +75,10 @@ _GLOBAL_DEFAULTS = {
 }
 
 
+# Variation names become output file names, so they may not carry a path.
+_NAME_PATTERN = re.compile(r"[A-Za-z0-9._-]+")
+
+
 class SpecError(ValueError):
     pass
 
@@ -129,6 +134,8 @@ def parse_experiment_text(text: str) -> ExperimentSpec:
         protocol = str(merged.get("protocol", "sass")).lower()
         pu = conv(merged, "pu", float)
         name = str(merged.get("name", f"{protocol}-pu{pu:g}" if pu is not None else protocol))
+        if not _NAME_PATTERN.fullmatch(name):
+            raise SpecError(f"variation name {name!r} must match [A-Za-z0-9._-]+")
         if name in names:
             raise SpecError(f"duplicate variation name {name!r}")
         names.add(name)
@@ -227,9 +234,11 @@ def variation_seed(global_seed: int, index: int) -> int:
 
 
 def _resolve(v: Variation, global_seed: int, index: int) -> tuple[simenv.SimConfig, str]:
+    if v.channels < 1:
+        raise SpecError("channels must be >= 1")
     if v.occupied is not None or v.idle is not None:
         if v.occupied is None or v.idle is None:
-            raise SpecError(f"{v.name}: occupied and idle must be given together")
+            raise SpecError("occupied and idle must be given together")
         x, idle = v.occupied, v.idle
         label = f"{simenv.nominal_intensity(x, v.channels, v.busy, idle):g}"
     else:
@@ -250,7 +259,20 @@ def _resolve(v: Variation, global_seed: int, index: int) -> tuple[simenv.SimConf
         pairs=v.pairs,
         seed=variation_seed(global_seed, index),
     )
+    config.validate()
     return config, label
+
+
+def _resolve_all(spec: ExperimentSpec) -> list[tuple[Variation, simenv.SimConfig, str]]:
+    """Resolve and validate every variation before any of them runs."""
+    resolved = []
+    for index, v in enumerate(spec.variations):
+        try:
+            config, label = _resolve(v, spec.seed, index)
+        except ValueError as exc:
+            raise SpecError(f"variation {v.name}: {exc}") from exc
+        resolved.append((v, config, label))
+    return resolved
 
 
 def _run_chunk(config: simenv.SimConfig, start: int, stop: int) -> list[simenv.SimTrace]:
@@ -285,6 +307,7 @@ def _cmd_experiment(args) -> int:
         else:
             raise SpecError("give a spec file or --preset")
         spec = _apply_overrides(spec, args)
+        resolved = _resolve_all(spec)
     except (OSError, SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -299,10 +322,8 @@ def _cmd_experiment(args) -> int:
     summary_rows: list[dict] = []
     failures = 0
     try:
-        for index, variation in enumerate(spec.variations):
+        for variation, config, pu_label in resolved:
             try:
-                config, pu_label = _resolve(variation, spec.seed, index)
-                config.validate()
                 traces = _run_variation(config, workers, pool)
             except Exception as exc:  # noqa: BLE001 - variations fail independently
                 print(f"error: variation {variation.name}: {exc}", file=sys.stderr)

@@ -10,8 +10,7 @@ sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .skolem import EssSequence
 
@@ -25,9 +24,6 @@ __all__ = [
     "drift_channel_table",
     "check_channel_map",
     "check_slot_counts",
-    "HopFrame",
-    "ChannelSchedule",
-    "DriftedView",
 ]
 
 # Sentinel for "every channel is a delivery channel" (zero relative drift).
@@ -123,55 +119,3 @@ def check_slot_counts(ess: EssSequence) -> list[str]:
                 violations.append(f"shift pair ({a},{b}): |slots| {count} != {want}")
     return violations
 
-
-@dataclass(frozen=True)
-class HopFrame:
-    """One period of a schedule: the base sequence under a fixed offset."""
-
-    base: EssSequence
-    offset: int
-
-    @property
-    def period(self) -> int:
-        return self.base.period
-
-    def channel_at(self, slot_in_frame: int) -> int:
-        return self.base.values[(slot_in_frame + self.offset) % self.period]
-
-    def sequence(self) -> tuple[int, ...]:
-        return shift(self.base, self.offset)
-
-
-class ChannelSchedule:
-    """Infinite frame-indexed schedule; frames are never materialized.
-
-    `offset_for_frame` maps a frame index to the shift offset played during
-    that frame (constant for a committed node, the identity for a searcher).
-    """
-
-    def __init__(self, base: EssSequence, offset_for_frame: Callable[[int], int]):
-        self.base = base
-        self.period = base.period
-        self.offset_for_frame = offset_for_frame
-
-    def frame(self, index: int) -> HopFrame:
-        return HopFrame(self.base, self.offset_for_frame(index) % self.period)
-
-    def channel_at(self, t: int) -> int:
-        if t < 0:
-            raise ValueError(f"slot must be >= 0, got {t}")
-        frame, slot = divmod(t, self.period)
-        return self.base.values[(slot + self.offset_for_frame(frame)) % self.period]
-
-
-@dataclass(frozen=True)
-class DriftedView:
-    """A schedule as seen on the global clock when its owner lags by `drift`."""
-
-    schedule: ChannelSchedule
-    drift: int
-
-    def channel_at(self, global_slot: int) -> int:
-        if global_slot < self.drift:
-            raise ValueError(f"node starts at global slot {self.drift}")
-        return self.schedule.channel_at(global_slot - self.drift)

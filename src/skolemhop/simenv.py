@@ -215,31 +215,8 @@ class PairSimulation:
         self._obs_idle = [SlotObservation(False, c) for c in range(n_eff)]
         self._obs_hit = [SlotObservation(True, c) for c in range(n_eff)]
 
-    def step(self) -> tuple[int, int, int, bool, bool]:
-        """Advance one slot; returns (slot, tx, rx, pu_blocked, delivered)."""
-        if self.slot >= self.config.horizon:
-            raise ValueError("horizon exhausted")
-        s = self.slot
-        tx = self.sender.next_channel(self._tx_base + s)
-        rx = self.receiver.next_channel(self._rx_base + s)
-        alias = self.plan.alias
-        busy_row = self.pu.rows[s]
-        tx_phys = alias[tx]
-        rx_phys = alias[rx]
-        blocked = busy_row[tx_phys] or busy_row[rx_phys]
-        delivered = tx_phys == rx_phys and not busy_row[tx_phys]
-        self.sender.observe(self._obs_hit[tx] if delivered else self._obs_idle[tx])
-        self.receiver.observe(self._obs_hit[rx] if delivered else self._obs_idle[rx])
-        self._tx_rec.append(tx)
-        self._rx_rec.append(rx)
-        self._pu_rec.append(blocked)
-        self._del_rec.append(delivered)
-        self.slot += 1
-        return s, tx, rx, blocked, delivered
-
     def run(self) -> SimTrace:
-        # Local bindings keep the slot loop tight; semantics match step()
-        # exactly (the test suite cross-checks the two paths).
+        # Local bindings keep the slot loop tight.
         cfg = self.config
         horizon = cfg.horizon
         tx_next = self.sender.next_channel

@@ -10,8 +10,8 @@ or downsizing (discarding the highest channels).
 
 from __future__ import annotations
 
+import functools
 import numbers
-import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -28,12 +28,6 @@ __all__ = [
 ]
 
 EXISTENCE_CONDITION = "congruent to 0 or 3 modulo 4"
-
-# Node budget per search attempt; a handful of orders under 64 need a
-# reshuffled value order long before this is exhausted.
-_NODE_BUDGET = 500_000
-_SHUFFLE_ATTEMPTS = 16
-_SHUFFLE_SEED = 0x534B4C
 
 
 def _order_exists(n: int) -> bool:
@@ -108,67 +102,38 @@ class EssSequence:
         return self.order + 1
 
 
-def _fill_search(n: int, value_order: Sequence[int], budget: int) -> tuple[int, ...] | None:
-    """Deterministic backtracking: always fill the leftmost empty slot.
+def _fill_search(n: int) -> tuple[int, ...] | None:
+    """Deterministic backtracking: values descending into the leftmost empty slot.
 
-    Returns None when the node budget runs out (caller escalates orderings).
+    `free` is a bitmask of the empty slots.  A branch is cut as soon as some
+    unused value k has no two free slots k+1 apart; such a branch has no
+    completion, so the first solution found is the same as without the cut.
     """
     size = 2 * n
     seq = [0] * size
-    used = [False] * (n + 1)
-    nodes = 0
 
-    def place(p: int) -> bool:
-        nonlocal nodes
-        while p < size and seq[p]:
-            p += 1
-        if p == size:
+    def place(free: int, unused: list[int]) -> bool:
+        if not free:
             return True
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetExhausted
-        for k in value_order:
-            if used[k]:
-                continue
+        p = (free & -free).bit_length() - 1
+        for k in unused:
             q = p + k + 1
-            if q < size and not seq[q]:
-                seq[p] = seq[q] = k
-                used[k] = True
-                if place(p + 1):
+            if free >> q & 1:
+                rest = free ^ (1 << p) ^ (1 << q)
+                others = [j for j in unused if j != k]
+                if all(rest & rest >> (j + 1) for j in others) and place(rest, others):
+                    seq[p] = seq[q] = k
                     return True
-                seq[p] = seq[q] = 0
-                used[k] = False
         return False
 
-    try:
-        return tuple(seq) if place(0) else None
-    except _BudgetExhausted:
-        return None
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _value_orders(n: int) -> Iterator[list[int]]:
-    yield list(range(n, 0, -1))
-    yield list(range(1, n + 1))
-    for attempt in range(_SHUFFLE_ATTEMPTS):
-        rnd = random.Random(_SHUFFLE_SEED + 1009 * n + attempt)
-        order = list(range(n, 0, -1))
-        rnd.shuffle(order)
-        yield order
-
-
-_construct_cache: dict[int, SkolemSequence] = {}
+    return tuple(seq) if place((1 << size) - 1, list(range(n, 0, -1))) else None
 
 
 def construct_skolem(n: int) -> SkolemSequence:
     """Deterministic construction for any order n with n % 4 in (0, 3).
 
-    Backtracking over a fixed ladder of value orderings; the first ordering
-    succeeds for most orders and every returned sequence is re-validated.
-    Results are cached per order.
+    A pruned backtracking search (see `_fill_search`); the result is
+    re-validated by `SkolemSequence`.
     """
     if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise TypeError(f"order must be an integer, got {n!r}")
@@ -177,22 +142,10 @@ def construct_skolem(n: int) -> SkolemSequence:
         raise ValueError(
             f"no sequence of order {n} exists: the order must be {EXISTENCE_CONDITION}"
         )
-    cached = _construct_cache.get(n)
-    if cached is not None:
-        return cached
-    for value_order in _value_orders(n):
-        found = _fill_search(n, value_order, _NODE_BUDGET)
-        if found is not None and verify_skolem(found):
-            result = SkolemSequence(order=n, values=found)
-            _construct_cache[n] = result
-            return result
-    # Unbounded last resort; not reached for any order up to 64.
-    found = _fill_search(n, list(range(n, 0, -1)), budget=1 << 62)
+    found = _fill_search(n)
     if found is None:
         raise RuntimeError(f"search failed for order {n} despite existence")
-    result = SkolemSequence(order=n, values=found)
-    _construct_cache[n] = result
-    return result
+    return SkolemSequence(order=n, values=found)
 
 
 def enumerate_skolem(n: int, limit: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -283,8 +236,13 @@ def make_channel_plan(n_channels: int, mode: str = "padding") -> ChannelPlan:
     )
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def ess_for_channel_count(n_effective: int) -> EssSequence:
-    """The broadcast base sequence for N' effective channels (N' >= 4)."""
+    """The broadcast base sequence for N' effective channels (N' >= 4).
+
+    Built and verified once per N'.  The cache is typed, so 12.0 never hits
+    the entry for 12 and is rejected like any non-integer.
+    """
     if n_effective % 4 not in (0, 1):
         raise ValueError(
             f"effective channel count {n_effective} is not congruent to 0 or 1 modulo 4"

@@ -213,15 +213,44 @@ class TestExperimentCommand:
         assert set(record) == {"run", "slot", "tx", "rx", "pu", "delivered"}
 
     def test_variation_failure_independent(self, tmp_path, capsys):
+        # An invalid variation is a spec error: nothing runs, nothing is written.
         bad = (TINY_SPEC + "\n[variation]\nname = broken\nprotocol = sass\n"
                "pu = 25\nchannels = 2\nplan = downsizing\n")
         spec_path = tmp_path / "bad.spec"
         spec_path.write_text(bad)
         out_dir = tmp_path / "out"
-        assert run_cli(["experiment", str(spec_path), "--out", str(out_dir)]) == 1
+        assert run_cli(["experiment", str(spec_path), "--out", str(out_dir)]) == 2
         captured = capsys.readouterr()
         assert "broken" in captured.err
-        assert (out_dir / "rho_pu25.csv").exists()  # good variations still ran
+        assert captured.out == ""
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "setting", ["pu = 150", "pairs = 0", "plan = bogus", "protocol = foo", "channels = 0"]
+    )
+    def test_bad_variation_rejected_before_work(self, tmp_path, capsys, setting):
+        bad = TINY_SPEC + f"\n[variation]\nname = broken\n{setting}\n"
+        spec_path = tmp_path / "bad.spec"
+        spec_path.write_text(bad)
+        out_dir = tmp_path / "out"
+        code = run_cli(["experiment", str(spec_path), "--out", str(out_dir), "--records"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "variation broken" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "/tmp/x", "", "x y"])
+    def test_name_cannot_escape_out(self, tmp_path, capsys, name):
+        text = TINY_SPEC.replace("name = sass-small", f"name = {name}")
+        spec_path = tmp_path / "bad.spec"
+        spec_path.write_text(text)
+        out_dir = tmp_path / "out"
+        code = run_cli(["experiment", str(spec_path), "--out", str(out_dir), "--records"])
+        assert code == 2
+        assert "variation name" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert list(tmp_path.iterdir()) == [spec_path]
 
 
 class TestSeedMixing:

@@ -6,9 +6,6 @@ from hypothesis import strategies as st
 
 from skolemhop.hopping import (
     ALL_CHANNELS,
-    ChannelSchedule,
-    DriftedView,
-    HopFrame,
     canonical_drift,
     check_channel_map,
     check_slot_counts,
@@ -130,30 +127,3 @@ class TestExhaustiveChecks:
     def test_slot_counts_hold(self, n_eff):
         assert check_slot_counts(ess_for_channel_count(n_eff)) == []
 
-
-class TestSchedules:
-    def test_hop_frame(self):
-        frame = HopFrame(ESS4, offset=4)
-        assert frame.sequence() == (2, 1, 3, 2, 0, 0, 3, 1)
-        assert [frame.channel_at(t) for t in range(8)] == list(frame.sequence())
-
-    def test_searching_schedule(self):
-        sched = ChannelSchedule(ESS4, offset_for_frame=lambda n: n)
-        assert [sched.channel_at(t) for t in range(8)] == list(ESS4.values)
-        assert [sched.channel_at(8 + t) for t in range(8)] == list(shift(ESS4, 1))
-
-    def test_constant_schedule_periodic(self):
-        sched = ChannelSchedule(ESS4, offset_for_frame=lambda n: 0)
-        assert sched.channel_at(0) == sched.channel_at(8) == sched.channel_at(800)
-
-    def test_drifted_view(self):
-        sched = ChannelSchedule(ESS4, offset_for_frame=lambda n: 0)
-        view = DriftedView(sched, drift=3)
-        assert view.channel_at(3) == ESS4.values[0]
-        with pytest.raises(ValueError):
-            view.channel_at(2)
-
-    def test_negative_slot_rejected(self):
-        sched = ChannelSchedule(ESS4, offset_for_frame=lambda n: 0)
-        with pytest.raises(ValueError):
-            sched.channel_at(-1)

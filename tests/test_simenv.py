@@ -83,26 +83,6 @@ class TestDeterminism:
             assert np.array_equal(a.delivered, b.delivered)
             assert a.drift == b.drift
 
-    def test_step_path_equals_run_path(self):
-        config = SimConfig(n_channels=5, protocol="sass", pu_channels=2,
-                           busy_len=5, idle_mean=4.0, horizon=150, pairs=1, seed=17)
-        by_run = PairSimulation(config, 0).run()
-        stepped = PairSimulation(config, 0)
-        records = [stepped.step() for _ in range(config.horizon)]
-        by_step = stepped._trace()
-        assert np.array_equal(by_run.delivered, by_step.delivered)
-        assert np.array_equal(by_run.sender_channel, by_step.sender_channel)
-        assert np.array_equal(by_run.receiver_channel, by_step.receiver_channel)
-        assert np.array_equal(by_run.pu_blocked, by_step.pu_blocked)
-        assert records[0][0] == 0 and len(records) == config.horizon
-
-    def test_step_beyond_horizon_rejected(self):
-        sim = PairSimulation(pu_free(horizon=3, drift=0), 0)
-        for _ in range(3):
-            sim.step()
-        with pytest.raises(ValueError):
-            sim.step()
-
 
 class TestValidation:
     @pytest.mark.parametrize(

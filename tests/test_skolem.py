@@ -1,5 +1,7 @@
 """Sequence construction, verification, and channel-plan tests."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +18,12 @@ from skolemhop.skolem import (
     verify_skolem,
 )
 
-VALID_ORDERS_24 = [n for n in range(1, 25) if n % 4 in (0, 3)]
+ADMISSIBLE_ORDERS_BELOW_64 = [n for n in range(1, 64) if n % 4 in (0, 3)]
+
+# sha256 of repr([construct_skolem(n).values for n in SEQUENCE_DIGEST_ORDERS]):
+# pins the constructed sequences (order 11 is the presets' N' = 12).
+SEQUENCE_DIGEST_ORDERS = [n for n in ADMISSIBLE_ORDERS_BELOW_64 if n != 31]
+SEQUENCE_DIGEST = "eaafd226118383937767a473f8eb1e1f98cc1cb5de3f72066681e74c333e826c"
 
 
 def independent_check(values, zero_based=False):
@@ -91,7 +98,7 @@ class TestConstruct:
         with pytest.raises(TypeError):
             construct_skolem(True)
 
-    @pytest.mark.parametrize("n", VALID_ORDERS_24)
+    @pytest.mark.parametrize("n", ADMISSIBLE_ORDERS_BELOW_64)
     def test_orders_up_to_24_validate(self, n):
         seq = construct_skolem(n)
         assert seq.order == n
@@ -102,6 +109,10 @@ class TestConstruct:
     def test_small_orders_in_oracle_solution_set(self, n):
         solutions = set(enumerate_skolem(n))
         assert construct_skolem(n).values in solutions
+
+    def test_sequence_digest(self):
+        values = [construct_skolem(n).values for n in SEQUENCE_DIGEST_ORDERS]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == SEQUENCE_DIGEST
 
     def test_deterministic(self):
         assert construct_skolem(12).values == construct_skolem(12).values
@@ -123,7 +134,7 @@ class TestExtend:
         s = SkolemSequence(order=3, values=(3, 1, 2, 1, 3, 2))
         assert extend_to_ess(s).values == (0, 0, 3, 1, 2, 1, 3, 2)
 
-    @pytest.mark.parametrize("n", VALID_ORDERS_24)
+    @pytest.mark.parametrize("n", ADMISSIBLE_ORDERS_BELOW_64)
     def test_extension_preserves_validity(self, n):
         s = construct_skolem(n)
         ess = extend_to_ess(s)
@@ -188,3 +199,13 @@ class TestEssForChannels:
     def test_inadmissible_counts(self, n_eff):
         with pytest.raises(ValueError):
             ess_for_channel_count(n_eff)
+
+    def test_built_once_per_count(self):
+        assert ess_for_channel_count(12) is ess_for_channel_count(12)
+
+    def test_cached_entry_does_not_admit_other_types(self):
+        ess_for_channel_count(12)
+        with pytest.raises(TypeError):
+            ess_for_channel_count(12.0)
+        with pytest.raises(ValueError):
+            ess_for_channel_count(True)
