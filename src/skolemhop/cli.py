@@ -234,8 +234,6 @@ def variation_seed(global_seed: int, index: int) -> int:
 
 
 def _resolve(v: Variation, global_seed: int, index: int) -> tuple[simenv.SimConfig, str]:
-    if v.channels < 1:
-        raise SpecError("channels must be >= 1")
     if v.occupied is not None or v.idle is not None:
         if v.occupied is None or v.idle is None:
             raise SpecError("occupied and idle must be given together")

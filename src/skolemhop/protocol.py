@@ -1,7 +1,12 @@
-"""Per-slot broadcast protocol state machines.
+"""Broadcast protocol state machines.
 
-All nodes expose the same two-call-per-slot surface consumed by the
-simulator: `next_channel(local_slot)` then `observe(SlotObservation)`.
+A receiver changes its channels only at frame boundaries.  Its
+`span(local_slot)` counts the slots whose channels its observations cannot
+change (None: unbounded); the simulator plays a span with one
+`channels(local_slot, count)` call and reports it with `observe_block`.
+The per-slot reference surface, `next_channel` then `observe`, feeds the
+same decision code.
+
 The self-adaptive receiver searches by rotating the base sequence one step
 per frame, then pins the sender's offset from where its first delivery
 landed; the baselines are a uniform random hopper and the same rotating
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hopping import shift
 from .skolem import EssSequence
 
 __all__ = [
@@ -48,19 +52,36 @@ class ReceiverPhase(enum.Enum):
     SYNCED = "synced"
 
 
-class BroadcastSender:
+class _FixedNode:
+    """A node whose channels never depend on what it observes."""
+
+    committed_offset: int | None = None
+
+    def span(self, local_slot: int) -> int | None:
+        return None
+
+    def observe(self, obs: SlotObservation) -> None:
+        pass
+
+    def observe_block(self, local_slot: int, delivered: np.ndarray) -> None:
+        pass
+
+
+class BroadcastSender(_FixedNode):
     """Plays the base sequence every frame, forever."""
+
+    committed_offset = 0
 
     def __init__(self, ess: EssSequence):
         self._values = ess.values
+        self._array = np.array(ess.values)
         self._period = ess.period
-        self.committed_offset = 0
 
     def next_channel(self, local_slot: int) -> int:
         return self._values[local_slot % self._period]
 
-    def observe(self, obs: SlotObservation) -> None:
-        pass
+    def channels(self, local_slot: int, count: int) -> np.ndarray:
+        return self._array.take(np.arange(local_slot, local_slot + count), mode="wrap")
 
 
 class SassReceiver:
@@ -77,11 +98,13 @@ class SassReceiver:
       probe both for a frame each and keep the better (case 3).
 
     The committed offset is frozen permanently; there is no re-calibration.
+    `sb` counts deliveries per frame up to the commit.
     """
 
     def __init__(self, ess: EssSequence):
         self.ess = ess
         self._values = ess.values
+        self._array = np.array(ess.values)
         self._period = ess.period
         self._n_eff = ess.n_effective
         self.phase = ReceiverPhase.SEARCHING
@@ -90,7 +113,6 @@ class SassReceiver:
         self.sb: dict[int, int] = {}
         self.first_delivery: tuple[int, int, int] | None = None  # (frame, slot, channel)
         self._slot = 0
-        self._frame = 0
         self._f0 = 0
         self._alpha = 0
         self._tau2 = 0
@@ -99,7 +121,7 @@ class SassReceiver:
 
     def _offset(self) -> int:
         if self.phase is ReceiverPhase.SEARCHING:
-            return self._frame
+            return self._slot // self._period
         if self.phase is ReceiverPhase.PROBING_CASE2:
             return self._f0 + self._n_eff
         if self.phase is ReceiverPhase.PROBING_CASE3_A:
@@ -109,16 +131,30 @@ class SassReceiver:
         assert self.committed_offset is not None
         return self.committed_offset
 
-    def next_channel(self, local_slot: int) -> int:
+    def span(self, local_slot: int) -> int | None:
+        """Slots to the end of the frame; unbounded once synced."""
+        if self.phase is ReceiverPhase.SYNCED:
+            return None
+        return self._period - local_slot % self._period
+
+    def _start(self, local_slot: int, count: int) -> int:
+        """Sequence index of a block's first slot, once it is checked to be
+        the next one and to stay within the span."""
         if local_slot != self._slot:
             raise ValueError(f"expected local slot {self._slot}, got {local_slot}")
-        channel = self._values[(local_slot + self._offset()) % self._period]
+        span = self.span(local_slot)
+        if span is not None and count > span:
+            raise ValueError(f"{count} slots from {local_slot} cross a frame boundary")
+        return local_slot + self._offset()
+
+    def next_channel(self, local_slot: int) -> int:
+        channel = self._values[self._start(local_slot, 1) % self._period]
         self._pending_channel = channel
         return channel
 
-    def frame_sequence(self) -> tuple[int, ...]:
-        """The full sequence this receiver plays during the current frame."""
-        return shift(self.ess, self._offset())
+    def channels(self, local_slot: int, count: int) -> np.ndarray:
+        start = self._start(local_slot, count)
+        return self._array.take(np.arange(start, start + count), mode="wrap")
 
     def observe(self, obs: SlotObservation) -> None:
         if self._pending_channel is None:
@@ -129,34 +165,47 @@ class SassReceiver:
                 f"{self._pending_channel}"
             )
         self._pending_channel = None
-        slot_in_frame = self._slot % self._period
+        self._advance(1, [self._slot % self._period] if obs.delivered else [])
 
-        if obs.delivered:
-            self.sb[self._frame] = self.sb.get(self._frame, 0) + 1
+    def observe_block(self, local_slot: int, delivered: np.ndarray) -> None:
+        self._start(local_slot, len(delivered))
+        hits = []
+        if self.phase is not ReceiverPhase.SYNCED:
+            hits = (np.flatnonzero(delivered) + local_slot % self._period).tolist()
+        self._advance(len(delivered), hits)
+
+    def _advance(self, count: int, hits: list[int]) -> None:
+        """The one decision path: consume `count` slots of one span, with
+        deliveries at in-frame slots `hits`."""
+        frame = self._slot // self._period
+        self._slot += count
+        if self.phase is ReceiverPhase.SYNCED:
+            return
+        if hits:
+            self.sb[frame] = self.sb.get(frame, 0) + len(hits)
             if self.phase is ReceiverPhase.SEARCHING:
                 if self.first_delivery is None:
-                    self._record_first(slot_in_frame, obs.channel)
-                elif slot_in_frame == self._tau2:
+                    self._record_first(frame, hits[0])
+                if self._tau2 in hits:
                     self._tau2_delivered = True
-
-        if (self._slot + 1) % self._period == 0:
+        if self._slot % self._period == 0:
             self._end_of_frame()
-        self._slot += 1
-        self._frame = self._slot // self._period
 
-    def _record_first(self, slot_in_frame: int, channel: int) -> None:
-        self.first_delivery = (self._frame, slot_in_frame, channel)
-        self._f0 = self._frame
+    def _record_first(self, frame: int, slot_in_frame: int) -> None:
+        period = self._period
+        channel = self._values[(slot_in_frame + frame) % period]
+        self.first_delivery = (frame, slot_in_frame, channel)
+        self._f0 = frame
         self._alpha = channel
         # The other in-frame slot carrying alpha in this frame's sequence.
-        frame_seq = shift(self.ess, self._frame)
-        positions = [t for t, v in enumerate(frame_seq) if v == channel]
-        others = [t for t in positions if t != slot_in_frame]
-        self._tau2 = others[0]
+        self._tau2 = next(
+            t for t in range(period)
+            if t != slot_in_frame and self._values[(t + frame) % period] == channel
+        )
         self._tau2_delivered = False
 
     def _end_of_frame(self) -> None:
-        f0, p = self._f0, self._period
+        f0 = self._f0
         if self.phase is ReceiverPhase.SEARCHING and self.first_delivery is not None:
             if self._alpha == self._n_eff - 1:
                 self.phase = ReceiverPhase.PROBING_CASE2
@@ -185,43 +234,41 @@ class SassReceiver:
         self.phase = ReceiverPhase.SYNCED
 
 
-class CssReceiver:
+class CssReceiver(_FixedNode):
     """Rotating search with calibration disabled: frame n plays shift(mu, n)."""
 
     def __init__(self, ess: EssSequence):
         self._values = ess.values
+        self._array = np.array(ess.values)
         self._period = ess.period
-        self.committed_offset = None
 
     def next_channel(self, local_slot: int) -> int:
         frame = local_slot // self._period
         return self._values[(local_slot + frame) % self._period]
 
-    def observe(self, obs: SlotObservation) -> None:
-        pass
+    def channels(self, local_slot: int, count: int) -> np.ndarray:
+        t = np.arange(local_slot, local_slot + count)
+        return self._array.take(t + t // self._period, mode="wrap")
 
 
-class RandomHopper:
-    """Uniform independent channel per slot, reproducible under a seeded rng."""
+class RandomHopper(_FixedNode):
+    """Uniform independent channel per slot, reproducible under a seeded rng.
 
-    _BLOCK = 1024
+    Generator draws do not depend on batching: `channels(s, k)` equals k
+    `next_channel` calls.
+    """
 
     def __init__(self, n_channels: int, rng: np.random.Generator):
         if n_channels < 1:
             raise ValueError("need at least one channel")
         self._n = n_channels
         self._rng = rng
-        self._buf: list[int] = []
-        self.committed_offset = None
 
     def next_channel(self, local_slot: int) -> int:
-        if not self._buf:
-            self._buf = self._rng.integers(0, self._n, size=self._BLOCK).tolist()
-            self._buf.reverse()
-        return self._buf.pop()
+        return int(self._rng.integers(0, self._n))
 
-    def observe(self, obs: SlotObservation) -> None:
-        pass
+    def channels(self, local_slot: int, count: int) -> np.ndarray:
+        return self._rng.integers(0, self._n, size=count)
 
 
 def make_pair(protocol, ess, tx_rng=None, rx_rng=None):

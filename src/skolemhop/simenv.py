@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .protocol import PROTOCOLS, SlotObservation, make_pair
+from .protocol import PROTOCOLS, make_pair
 from .skolem import ChannelPlan, ess_for_channel_count, make_channel_plan
 
 __all__ = [
@@ -53,8 +53,6 @@ class SimConfig:
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.n_channels < 1:
-            raise ValueError("n_channels must be >= 1")
         plan = make_channel_plan(self.n_channels, self.plan_mode)
         if plan.effective_count < MIN_EFFECTIVE_CHANNELS:
             raise ValueError(
@@ -114,14 +112,13 @@ class PuTraffic:
         rng: np.random.Generator,
         horizon: int,
     ):
-        self.n_channels = n_channels
         self.occupied = tuple(sorted(int(c) for c in occupied))
         self.busy_len = busy_len
         self.idle_mean = idle_mean
-        matrix = np.zeros((horizon, n_channels), dtype=bool)
+        matrix = np.zeros((horizon, n_channels), dtype=bool)  # [slot, channel]
         for ch in self.occupied:
             matrix[:, ch] = self._busy_column(horizon, rng)
-        self.rows: list[list[bool]] = matrix.tolist()
+        self.rows = matrix
 
     @classmethod
     def sample(
@@ -156,17 +153,16 @@ class PuTraffic:
             pos += b + self._idle_len(rng)
         return col
 
-    def is_busy(self, slot: int, channel: int) -> bool:
-        return self.rows[slot][channel]
-
 
 class PairSimulation:
-    """One sender/receiver pair advanced slot by slot.
+    """One sender/receiver pair, simulated one receiver span at a time.
 
     Trace slot 0 is the first slot with both nodes active.  With drift d >= 0
     the sender's local clock reads d + s at trace slot s; a negative drift
-    (receiver ahead) fast-forwards the receiver through |d| empty slots
-    before the trace starts.  PU occupancy is indexed by trace slot.
+    (receiver ahead) runs the receiver through |d| pre-roll slots with no
+    deliveries before the trace starts.  PU occupancy is indexed by trace
+    slot.  A span is a stretch of slots whose channels the receiver's
+    observations cannot change, so each one is adjudicated in one numpy step.
     """
 
     def __init__(self, config: SimConfig, pair_index: int):
@@ -200,83 +196,45 @@ class PairSimulation:
             rx_rng=np.random.Generator(np.random.PCG64(rx_ss)),
         )
         self._tx_base = max(self.drift, 0)
-        for t in range(max(-self.drift, 0)):
-            ch = self.receiver.next_channel(t)
-            self.receiver.observe(SlotObservation(False, ch))
         self._rx_base = max(-self.drift, 0)
-        self.slot = 0
-        self._tx_rec: list[int] = []
-        self._rx_rec: list[int] = []
-        self._pu_rec: list[bool] = []
-        self._del_rec: list[bool] = []
-        # Observation objects are cycled from a small cache; the protocol
-        # surface treats them as immutable values.
-        n_eff = self.plan.effective_count
-        self._obs_idle = [SlotObservation(False, c) for c in range(n_eff)]
-        self._obs_hit = [SlotObservation(True, c) for c in range(n_eff)]
 
     def run(self) -> SimTrace:
-        # Local bindings keep the slot loop tight.
-        cfg = self.config
-        horizon = cfg.horizon
-        tx_next = self.sender.next_channel
-        rx_next = self.receiver.next_channel
-        tx_obs = self.sender.observe
-        rx_obs = self.receiver.observe
-        alias = self.plan.alias
-        rows = self.pu.rows
-        obs_idle = self._obs_idle
-        obs_hit = self._obs_hit
-        tx_rec = self._tx_rec
-        rx_rec = self._rx_rec
-        pu_rec = self._pu_rec
-        del_rec = self._del_rec
-        tx_base = self._tx_base
-        rx_base = self._rx_base
-        for s in range(self.slot, horizon):
-            tx = tx_next(tx_base + s)
-            rx = rx_next(rx_base + s)
-            busy_row = rows[s]
-            tx_phys = alias[tx]
-            rx_phys = alias[rx]
-            if tx_phys == rx_phys:
-                delivered = not busy_row[tx_phys]
-                blocked = not delivered
-            else:
-                delivered = False
-                blocked = busy_row[tx_phys] or busy_row[rx_phys]
-            tx_obs(obs_hit[tx] if delivered else obs_idle[tx])
-            rx_obs(obs_hit[rx] if delivered else obs_idle[rx])
-            tx_rec.append(tx)
-            rx_rec.append(rx)
-            pu_rec.append(blocked)
-            del_rec.append(delivered)
-        self.slot = horizon
-        return self._trace()
-
-    def _trace(self) -> SimTrace:
-        delivered = np.array(self._del_rec, dtype=bool)
-        hits = np.flatnonzero(delivered)
-        first = int(hits[0]) if hits.size else None
+        horizon = self.config.horizon
+        pre = self._rx_base
+        end = pre + horizon
+        slots = np.arange(horizon)
+        busy = np.asarray(self.pu.rows)
+        alias = np.array(self.plan.alias)
+        tx = self.sender.channels(self._tx_base, horizon)
+        tx_busy = busy[slots, alias[tx]]
+        # Per receiver-local slot, the physical channel a delivery needs;
+        # -1 where none can happen (the pre-roll, or the sender's channel busy).
+        target = np.concatenate((np.full(pre, -1), np.where(tx_busy, -1, alias[tx])))
+        rx = np.empty(end, dtype=np.int16)
+        delivered = np.empty(end, dtype=bool)
+        start = 0
+        while start < end:
+            span = self.receiver.span(start)
+            block = slice(start, end if span is None else min(start + span, end))
+            rx[block] = self.receiver.channels(start, block.stop - start)
+            delivered[block] = alias[rx[block]] == target[block]
+            self.receiver.observe_block(start, delivered[block])
+            start = block.stop
+        rx, delivered = rx[pre:], delivered[pre:]
         committed = self.receiver.committed_offset
-        if self.config.protocol == "sass":
-            missync = (
-                None
-                if committed is None
-                else (committed - self.drift) % self.period != 0
-            )
-        else:
-            missync = None
+        missync = None
+        if self.config.protocol == "sass" and committed is not None:
+            missync = (committed - self.drift) % self.period != 0
         return SimTrace(
             pair_index=self.pair_index,
             protocol=self.config.protocol,
             drift=self.drift,
             period=self.period,
-            sender_channel=np.array(self._tx_rec, dtype=np.int16),
-            receiver_channel=np.array(self._rx_rec, dtype=np.int16),
-            pu_blocked=np.array(self._pu_rec, dtype=bool),
+            sender_channel=tx.astype(np.int16),
+            receiver_channel=rx,
+            pu_blocked=tx_busy | busy[slots, alias[rx]],
             delivered=delivered,
-            first_delivery=first,
+            first_delivery=int(delivered.argmax()) if delivered.any() else None,
             committed_offset=committed,
             missync=missync,
         )
@@ -291,29 +249,21 @@ def run(config: SimConfig, pair_range: Sequence[int] | None = None) -> list[SimT
 
 def write_records(path, traces: Iterable[SimTrace]) -> None:
     """Stream per-slot records as newline-delimited JSON objects."""
-    import json
-
+    line = '{"run":%d,"slot":%d,"tx":%d,"rx":%d,"pu":%s,"delivered":%s}\n'
+    word = ("false", "true")
     with open(path, "w") as fh:
         for trace in traces:
-            tx = trace.sender_channel.tolist()
-            rx = trace.receiver_channel.tolist()
-            pu = trace.pu_blocked.tolist()
-            hit = trace.delivered.tolist()
-            for slot in range(len(tx)):
-                fh.write(
-                    json.dumps(
-                        {
-                            "run": trace.pair_index,
-                            "slot": slot,
-                            "tx": tx[slot],
-                            "rx": rx[slot],
-                            "pu": pu[slot],
-                            "delivered": hit[slot],
-                        },
-                        separators=(",", ":"),
-                    )
-                )
-                fh.write("\n")
+            pair = trace.pair_index
+            columns = zip(
+                trace.sender_channel.tolist(),
+                trace.receiver_channel.tolist(),
+                trace.pu_blocked.tolist(),
+                trace.delivered.tolist(),
+            )
+            fh.writelines(
+                line % (pair, slot, tx, rx, word[pu], word[hit])
+                for slot, (tx, rx, pu, hit) in enumerate(columns)
+            )
 
 
 def realized_idle_mean(idle_mean: float) -> float:
@@ -349,6 +299,8 @@ def pu_parameters(pu_percent: float, n_channels: int, busy_len: int = 400) -> tu
     keep the channel availability pattern stable within a frame, which is
     what the calibration logic assumes of slow primary users.
     """
+    if n_channels < 1:
+        raise ValueError(f"channel count must be >= 1, got {n_channels}")
     if not 0.0 <= pu_percent <= 100.0:
         raise ValueError("pu_percent must be within [0, 100]")
     if pu_percent == 0.0:
@@ -364,5 +316,7 @@ def pu_parameters(pu_percent: float, n_channels: int, busy_len: int = 400) -> tu
 
 def nominal_intensity(pu_channels: int, n_channels: int, busy_len: int, idle_mean: float) -> float:
     """PU intensity in percent implied by raw traffic parameters."""
+    if n_channels < 1:
+        raise ValueError(f"channel count must be >= 1, got {n_channels}")
     duty = busy_len / (realized_idle_mean(idle_mean) + busy_len)
     return 100.0 * (pu_channels / n_channels) * duty

@@ -226,7 +226,9 @@ class TestExperimentCommand:
         assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize(
-        "setting", ["pu = 150", "pairs = 0", "plan = bogus", "protocol = foo", "channels = 0"]
+        "setting",
+        ["pu = 150", "pairs = 0", "plan = bogus", "protocol = foo", "channels = 0",
+         "pu = 25\nchannels = 0"],
     )
     def test_bad_variation_rejected_before_work(self, tmp_path, capsys, setting):
         bad = TINY_SPEC + f"\n[variation]\nname = broken\n{setting}\n"

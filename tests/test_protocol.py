@@ -112,12 +112,12 @@ class TestCaseTwo:
         # the delivery count 4 to 2, committing to the half-period shift.
         rx = SassReceiver(MU)
         slot = drive_frames(rx, 0, {f: set() for f in range(4)})
-        assert rx.frame_sequence() == (2, 1, 3, 2, 0, 0, 3, 1)
+        assert tuple(rx.channels(slot, 8)) == (2, 1, 3, 2, 0, 0, 3, 1)
         slot = drive_frames(rx, slot, {4: {2, 6}})
         assert rx.case == 2
         assert rx.phase is ReceiverPhase.PROBING_CASE2
         assert rx.first_delivery == (4, 2, 3)
-        assert rx.frame_sequence() == MU.values
+        assert tuple(rx.channels(slot, 8)) == MU.values
         slot = drive_frames(rx, slot, {5: {0, 1, 2, 6}})
         assert rx.sb[4] == 2 and rx.sb[5] == 4
         assert rx.phase is ReceiverPhase.SYNCED
@@ -141,15 +141,15 @@ class TestCaseThree:
         # channel-1 slot, so both one-sided probes run and the first wins 4-0.
         rx = SassReceiver(MU)
         slot = drive_frames(rx, 0, {f: set() for f in range(6)})
-        assert rx.frame_sequence() == (3, 2, 0, 0, 3, 1, 2, 1)
+        assert tuple(rx.channels(slot, 8)) == (3, 2, 0, 0, 3, 1, 2, 1)
         slot = drive_frames(rx, slot, {6: {5}})
         assert rx.case == 3
         assert rx.phase is ReceiverPhase.PROBING_CASE3_A
         assert rx.first_delivery == (6, 5, 1)
-        assert rx.frame_sequence() == MU.values  # shift(u_j, alpha+1)
+        assert tuple(rx.channels(slot, 8)) == MU.values  # shift(u_j, alpha+1)
         slot = drive_frames(rx, slot, {7: {0, 1, 3, 5}})
         assert rx.phase is ReceiverPhase.PROBING_CASE3_B
-        assert rx.frame_sequence() == (2, 1, 3, 2, 0, 0, 3, 1)  # shift(u_j, -(alpha+1))
+        assert tuple(rx.channels(slot, 8)) == (2, 1, 3, 2, 0, 0, 3, 1)  # shift(u_j, -(alpha+1))
         slot = drive_frames(rx, slot, {8: set()})
         assert rx.sb[7] == 4 and rx.sb.get(8, 0) == 0
         assert rx.phase is ReceiverPhase.SYNCED
@@ -169,7 +169,7 @@ class TestCaseThree:
             slot += 1
         assert rx.case == 3 and rx.first_delivery is not None
         for frame in (1, 2):
-            probe = rx.frame_sequence()
+            probe = rx.channels(slot, 8)
             for t in range(8):
                 ch = rx.next_channel(slot)
                 rx.observe(SlotObservation(ch == sender_seq[t], ch))

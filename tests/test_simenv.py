@@ -114,7 +114,7 @@ class TestPuTraffic:
     def test_unoccupied_channels_always_free(self):
         rng = np.random.Generator(np.random.PCG64(1))
         pu = PuTraffic(6, occupied=[2], busy_len=5, idle_mean=4.0, rng=rng, horizon=500)
-        column = np.array([pu.is_busy(t, 0) for t in range(500)])
+        column = pu.rows[:, 0]
         assert not column.any()
         assert pu.occupied == (2,)
 
@@ -122,7 +122,7 @@ class TestPuTraffic:
         rng = np.random.Generator(np.random.PCG64(7))
         b = 5
         pu = PuTraffic(2, occupied=[0], busy_len=b, idle_mean=3.0, rng=rng, horizon=4000)
-        col = np.array([pu.is_busy(t, 0) for t in range(4000)], dtype=int)
+        col = pu.rows[:, 0].astype(int)
         # run-length encode, ignoring the (possibly truncated) first and last runs
         edges = np.flatnonzero(np.diff(col)) + 1
         runs = np.split(col, edges)[1:-1]
@@ -137,7 +137,7 @@ class TestPuTraffic:
         b, idle = 5, 15.0
         horizon = 200_000
         pu = PuTraffic(1, occupied=[0], busy_len=b, idle_mean=idle, rng=rng, horizon=horizon)
-        frac = np.mean([pu.is_busy(t, 0) for t in range(horizon)])
+        frac = pu.rows[:, 0].mean()
         assert abs(frac - b / (b + idle)) <= 0.02
 
     def test_sample_respects_count(self):
@@ -172,6 +172,17 @@ class TestPuParameters:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             pu_parameters(120.0, 12)
+
+    @pytest.mark.parametrize("n", [0, -4])
+    @pytest.mark.parametrize("pu", [0.0, 25.0])
+    def test_channel_count_rejected(self, pu, n):
+        with pytest.raises(ValueError):
+            pu_parameters(pu, n)
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_nominal_intensity_rejects_channel_count(self, n):
+        with pytest.raises(ValueError):
+            nominal_intensity(1, n, 400, 1.0)
 
 
 def reconstruct_receiver_channels(local_delivered, ess):
