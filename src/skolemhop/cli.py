@@ -234,15 +234,14 @@ def variation_seed(global_seed: int, index: int) -> int:
 
 
 def _resolve(v: Variation, global_seed: int, index: int) -> tuple[simenv.SimConfig, str]:
+    pu = None
     if v.occupied is not None or v.idle is not None:
         if v.occupied is None or v.idle is None:
             raise SpecError("occupied and idle must be given together")
         x, idle = v.occupied, v.idle
-        label = f"{simenv.nominal_intensity(x, v.channels, v.busy, idle):g}"
     else:
         pu = v.pu if v.pu is not None else 0.0
         x, idle = simenv.pu_parameters(pu, v.channels, v.busy)
-        label = f"{pu:g}"
     config = simenv.SimConfig(
         n_channels=v.channels,
         protocol=v.protocol,
@@ -257,8 +256,9 @@ def _resolve(v: Variation, global_seed: int, index: int) -> tuple[simenv.SimConf
         pairs=v.pairs,
         seed=variation_seed(global_seed, index),
     )
-    config.validate()
-    return config, label
+    if pu is None:
+        pu = simenv.nominal_intensity(x, v.channels, v.busy, idle)
+    return config, f"{pu:g}"
 
 
 def _resolve_all(spec: ExperimentSpec) -> list[tuple[Variation, simenv.SimConfig, str]]:

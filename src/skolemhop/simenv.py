@@ -11,7 +11,7 @@ from the config seed; identical configs replay bit-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,9 +35,13 @@ __all__ = [
 MIN_EFFECTIVE_CHANNELS = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """One experiment variation: channels, PU traffic, drift, and protocol."""
+    """One experiment variation: channels, PU traffic, drift, and protocol.
+
+    Checked when built (ValueError) and frozen; `plan` is its channel plan,
+    built once by the check, and `dataclasses.replace` makes a checked variant.
+    """
 
     n_channels: int
     protocol: str = "sass"
@@ -49,8 +53,9 @@ class SimConfig:
     horizon: int = 1000
     pairs: int = 1
     seed: int = 0
+    plan: ChannelPlan = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         plan = make_channel_plan(self.n_channels, self.plan_mode)
@@ -63,15 +68,13 @@ class SimConfig:
             raise ValueError("pu_channels must be within [0, n_channels]")
         if self.busy_len < 1:
             raise ValueError("busy_len must be >= 1")
-        if self.idle_mean <= 0:
-            raise ValueError("idle_mean must be positive")
+        if not 0 < self.idle_mean < math.inf:
+            raise ValueError("idle_mean must be positive and finite")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.pairs < 1:
             raise ValueError("pairs must be >= 1")
-
-    def plan(self) -> ChannelPlan:
-        return make_channel_plan(self.n_channels, self.plan_mode)
+        object.__setattr__(self, "plan", plan)
 
 
 @dataclass
@@ -166,19 +169,20 @@ class PairSimulation:
     """
 
     def __init__(self, config: SimConfig, pair_index: int):
-        config.validate()
         self.config = config
         self.pair_index = pair_index
-        self.plan = config.plan()
+        self.plan = config.plan
         self.ess = ess_for_channel_count(self.plan.effective_count)
         self.period = self.ess.period
 
-        ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(pair_index,))
-        env_ss, pu_ss, tx_ss, rx_ss = ss.spawn(4)
-        env_rng = np.random.Generator(np.random.PCG64(env_ss))
+        # Stream k is child k of spawn_key=(j,)'s spawn(4): 0 drift, 1 PU, 2 tx, 3 rx.
+        def stream(k: int) -> np.random.Generator:
+            ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(pair_index, k))
+            return np.random.Generator(np.random.PCG64(ss))
+
         if config.drift is None:
             n_eff = self.plan.effective_count
-            self.drift = int(env_rng.integers(0, 2 * n_eff * n_eff))
+            self.drift = int(stream(0).integers(0, 2 * n_eff * n_eff))
         else:
             self.drift = int(config.drift)
         self.pu = PuTraffic.sample(
@@ -186,15 +190,11 @@ class PairSimulation:
             config.pu_channels,
             config.busy_len,
             config.idle_mean,
-            np.random.Generator(np.random.PCG64(pu_ss)),
+            stream(1),
             config.horizon,
         )
-        self.sender, self.receiver = make_pair(
-            config.protocol,
-            self.ess,
-            tx_rng=np.random.Generator(np.random.PCG64(tx_ss)),
-            rx_rng=np.random.Generator(np.random.PCG64(rx_ss)),
-        )
+        rngs = (stream(2), stream(3)) if config.protocol == "rch" else (None, None)
+        self.sender, self.receiver = make_pair(config.protocol, self.ess, *rngs)
         self._tx_base = max(self.drift, 0)
         self._rx_base = max(-self.drift, 0)
 
@@ -242,7 +242,6 @@ class PairSimulation:
 
 def run(config: SimConfig, pair_range: Sequence[int] | None = None) -> list[SimTrace]:
     """Simulate the configured pairs; each pair is seeded independently."""
-    config.validate()
     indices = range(config.pairs) if pair_range is None else pair_range
     return [PairSimulation(config, i).run() for i in indices]
 
@@ -271,7 +270,9 @@ def realized_idle_mean(idle_mean: float) -> float:
     if idle_mean <= 0:
         return 1.0
     half = math.exp(-1.0 / (2.0 * idle_mean))
-    return half / (1.0 - math.exp(-1.0 / idle_mean)) + 1.0 - half
+    tail = 1.0 - math.exp(-1.0 / idle_mean)
+    # Past idle means of ~1e16 the tail rounds to 0; its first-order value is 1/idle_mean.
+    return half / tail + 1.0 - half if tail else half * idle_mean + 1.0 - half
 
 
 def solve_idle_mean(target: float) -> float:

@@ -195,9 +195,6 @@ class ChannelPlan:
     mode: str
     alias: tuple[int, ...]
 
-    def physical(self, effective_channel: int) -> int:
-        return self.alias[effective_channel]
-
     @property
     def discarded(self) -> tuple[int, ...]:
         if self.mode == "downsizing":

@@ -228,7 +228,7 @@ class TestExperimentCommand:
     @pytest.mark.parametrize(
         "setting",
         ["pu = 150", "pairs = 0", "plan = bogus", "protocol = foo", "channels = 0",
-         "pu = 25\nchannels = 0"],
+         "pu = 25\nchannels = 0", "occupied = 2\nidle = inf", "occupied = 2\nidle = nan"],
     )
     def test_bad_variation_rejected_before_work(self, tmp_path, capsys, setting):
         bad = TINY_SPEC + f"\n[variation]\nname = broken\n{setting}\n"

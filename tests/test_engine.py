@@ -136,6 +136,16 @@ class TestSpans:
 
 
 class TestByteIdentityPins:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20260801, 2**63 + 5])
+    def test_direct_streams_equal_spawned_children(self, seed):
+        # A pair builds stream k as spawn_key=(j, k) instead of spawning four
+        # children of spawn_key=(j,); the digests rest on the two agreeing.
+        for j in (0, 1, 2, 99, 999, 123_456):
+            children = np.random.SeedSequence(seed, spawn_key=(j,)).spawn(4)
+            for k, child in enumerate(children):
+                direct = np.random.SeedSequence(seed, spawn_key=(j, k))
+                assert direct.generate_state(8).tolist() == child.generate_state(8).tolist()
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 20260801])
     @pytest.mark.parametrize("n", [1, 2, 4, 5, 12, 13, 64])
     def test_rch_draws_do_not_depend_on_batching(self, seed, n):

@@ -127,3 +127,20 @@ class TestExhaustiveChecks:
     def test_slot_counts_hold(self, n_eff):
         assert check_slot_counts(ess_for_channel_count(n_eff)) == []
 
+    def test_swapped_entries_reported(self):
+        # ESS4 with the entries at 2 and 4 swapped, past EssSequence's own
+        # check: drift +-2 now meets on channels 1 and 3, drift 4 never meets.
+        bad = object.__new__(EssSequence)
+        object.__setattr__(bad, "order", 3)
+        object.__setattr__(bad, "values", (0, 0, 2, 1, 3, 1, 3, 2))
+        pairs = [(a, b) for a in range(8) for b in range(8) if (a - b) % 8 in (2, 4, 6)]
+        assert check_channel_map(bad) == [
+            f"shift pair ({a},{b}): channels [] != [3]" if (a - b) % 8 == 4
+            else f"shift pair ({a},{b}): channels [1, 3] != [1]"
+            for a, b in pairs
+        ]
+        assert check_slot_counts(bad) == [
+            f"shift pair ({a},{b}): |slots| 0 != 2" if (a - b) % 8 == 4
+            else f"shift pair ({a},{b}): |slots| 2 != 1"
+            for a, b in pairs
+        ]

@@ -1,5 +1,7 @@
 """Simulator tests: adjudication, PU traffic, drift handling, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,8 @@ class TestValidation:
             dict(pu_channels=9),
             dict(busy_len=0),
             dict(idle_mean=0.0),
+            dict(idle_mean=float("nan")),
+            dict(idle_mean=float("inf")),
             dict(horizon=0),
             dict(pairs=0),
             dict(n_channels=2, plan_mode="downsizing"),
@@ -103,7 +107,7 @@ class TestValidation:
                     idle_mean=2.0, horizon=10, pairs=1, seed=0)
         base.update(kwargs)
         with pytest.raises(ValueError):
-            SimConfig(**base).validate()
+            SimConfig(**base)
 
     def test_rejected_before_any_work(self):
         with pytest.raises(ValueError):
@@ -183,6 +187,13 @@ class TestPuParameters:
     def test_nominal_intensity_rejects_channel_count(self, n):
         with pytest.raises(ValueError):
             nominal_intensity(1, n, 400, 1.0)
+
+    @pytest.mark.parametrize("idle", [2e16, 1e17, float("inf")])
+    def test_nominal_intensity_huge_idle_mean(self, idle):
+        # 1 - exp(-1/idle) rounds to 0 here; the intensity is still finite.
+        got = nominal_intensity(2, 12, 400, idle)
+        assert math.isfinite(got)
+        assert 0.0 <= got < 1e-10
 
 
 def reconstruct_receiver_channels(local_delivered, ess):

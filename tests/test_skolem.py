@@ -156,7 +156,7 @@ class TestChannelPlan:
     def test_padding_three_channels(self):
         plan = make_channel_plan(3, "padding")
         assert plan.effective_count == 4
-        assert plan.physical(3) == 0
+        assert plan.alias[3] == 0
         assert plan.alias[:3] == (0, 1, 2)
 
     def test_padding_identity(self):
