@@ -38,6 +38,11 @@ EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
 EXIT_USAGE = 2
 
+_SUMMARY_HEADER = (
+    "name", "protocol", "pu_level", "pairs", "horizon",
+    "rho_final", "missync_rate", "committed", "first_mean", "undelivered",
+)
+
 
 @dataclass(frozen=True)
 class Variation:
@@ -46,12 +51,12 @@ class Variation:
     channels: int
     plan: str
     pu: float | None
+    occupied: int | None
+    idle: float | None
     pairs: int
     horizon: int
     busy: int
     drift: int | None
-    occupied: int | None = None
-    idle: float | None = None
 
 
 @dataclass(frozen=True)
@@ -61,18 +66,29 @@ class ExperimentSpec:
     variations: tuple[Variation, ...]
 
 
-_GLOBAL_KEYS = {"seed", "out", "pairs", "horizon", "channels", "plan", "busy", "drift"}
-_VARIATION_KEYS = _GLOBAL_KEYS - {"seed", "out"} | {"name", "protocol", "pu", "occupied", "idle"}
-_GLOBAL_DEFAULTS = {
-    "seed": DEFAULT_SEED,
-    "out": "results",
-    "pairs": 1000,
-    "horizon": 1000,
-    "channels": 12,
-    "plan": "padding",
-    "busy": DEFAULT_BUSY,
-    "drift": None,
+def _parse_drift(raw: str):
+    return None if raw == "uniform" else int(raw)
+
+
+# The spec grammar: every key, its parser and its default as spec text
+# (None: unset), in the order a spec is rendered.
+_KEYS = {
+    "seed": (int, str(DEFAULT_SEED)),
+    "out": (str, "results"),
+    "name": (str, None),
+    "protocol": (str.lower, "sass"),
+    "channels": (int, "12"),
+    "plan": (str, "padding"),
+    "pu": (float, None),
+    "occupied": (int, None),
+    "idle": (float, None),
+    "pairs": (int, "1000"),
+    "horizon": (int, "1000"),
+    "busy": (int, str(DEFAULT_BUSY)),
+    "drift": (_parse_drift, "uniform"),
 }
+_GLOBAL_KEYS = {"seed", "out", "pairs", "horizon", "channels", "plan", "busy", "drift"}
+_VARIATION_KEYS = set(_KEYS) - {"seed", "out"}
 
 
 # Variation names become output file names, so they may not carry a path.
@@ -83,12 +99,19 @@ class SpecError(ValueError):
     pass
 
 
-def _parse_drift(raw: str):
-    return None if raw == "uniform" else int(raw)
+def _convert(table: dict, key: str):
+    parse, default = _KEYS[key]
+    value = table.get(key, default)
+    if value is None:
+        return None
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise SpecError(f"bad value for {key!r}: {value!r}") from exc
 
 
 def parse_experiment_text(text: str) -> ExperimentSpec:
-    globals_ = dict(_GLOBAL_DEFAULTS)
+    globals_: dict[str, str] = {}
     blocks: list[dict] = []
     current: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -114,47 +137,26 @@ def parse_experiment_text(text: str) -> ExperimentSpec:
     if not blocks:
         raise SpecError("spec defines no [variation] blocks")
 
-    def conv(table: dict, key: str, kind, default=None):
-        value = table.get(key, default)
-        if value is None:
-            return None
-        if isinstance(value, str):
-            try:
-                return kind(value)
-            except ValueError as exc:
-                raise SpecError(f"bad value for {key!r}: {value!r}") from exc
-        return value
-
-    seed = conv(globals_, "seed", int)
-    out = str(globals_["out"])
     variations = []
     names = set()
-    for i, block in enumerate(blocks):
+    for block in blocks:
         merged = {**globals_, **block}
-        protocol = str(merged.get("protocol", "sass")).lower()
-        pu = conv(merged, "pu", float)
-        name = str(merged.get("name", f"{protocol}-pu{pu:g}" if pu is not None else protocol))
+        fields = {key: _convert(merged, key) for key in _VARIATION_KEYS}
+        if fields["name"] is None:
+            protocol, pu = fields["protocol"], fields["pu"]
+            fields["name"] = f"{protocol}-pu{pu:g}" if pu is not None else protocol
+        name = fields["name"]
         if not _NAME_PATTERN.fullmatch(name):
             raise SpecError(f"variation name {name!r} must match [A-Za-z0-9._-]+")
         if name in names:
             raise SpecError(f"duplicate variation name {name!r}")
         names.add(name)
-        variations.append(
-            Variation(
-                name=name,
-                protocol=protocol,
-                channels=conv(merged, "channels", int),
-                plan=str(merged["plan"]),
-                pu=pu,
-                pairs=conv(merged, "pairs", int),
-                horizon=conv(merged, "horizon", int),
-                busy=conv(merged, "busy", int),
-                drift=conv(merged, "drift", _parse_drift),
-                occupied=conv(merged, "occupied", int),
-                idle=conv(merged, "idle", float),
-            )
-        )
-    return ExperimentSpec(seed=seed, out=out, variations=tuple(variations))
+        variations.append(Variation(**fields))
+    return ExperimentSpec(
+        seed=_convert(globals_, "seed"),
+        out=_convert(globals_, "out"),
+        variations=tuple(variations),
+    )
 
 
 def render_experiment_spec(spec: ExperimentSpec) -> str:
@@ -166,20 +168,11 @@ def render_experiment_spec(spec: ExperimentSpec) -> str:
     ]
     for v in spec.variations:
         lines.append("[variation]")
-        lines.append(f"name = {v.name}")
-        lines.append(f"protocol = {v.protocol}")
-        lines.append(f"channels = {v.channels}")
-        lines.append(f"plan = {v.plan}")
-        if v.pu is not None:
-            lines.append(f"pu = {v.pu:g}")
-        if v.occupied is not None:
-            lines.append(f"occupied = {v.occupied}")
-        if v.idle is not None:
-            lines.append(f"idle = {v.idle:g}")
-        lines.append(f"pairs = {v.pairs}")
-        lines.append(f"horizon = {v.horizon}")
-        lines.append(f"busy = {v.busy}")
-        lines.append(f"drift = {'uniform' if v.drift is None else v.drift}")
+        for key, value in vars(v).items():
+            if key == "drift" and value is None:
+                value = "uniform"
+            if value is not None:
+                lines.append(f"{key} = {value}")
         lines.append("")
     return "\n".join(lines)
 
@@ -191,40 +184,16 @@ def preset(name: str) -> ExperimentSpec:
     intensities 0/25/50/75% (12 channels, 1000 pairs, 1000 slots).
     latency: first-delivery and windowed latency scenarios at PU 25%.
     """
+    protocols = ("sass", "rch", "css")
     if name == "delivery-rate":
-        variations = tuple(
-            Variation(
-                name=f"{protocol}-pu{pu:g}",
-                protocol=protocol,
-                channels=12,
-                plan="padding",
-                pu=float(pu),
-                pairs=1000,
-                horizon=1000,
-                busy=DEFAULT_BUSY,
-                drift=None,
-            )
-            for pu in (0, 25, 50, 75)
-            for protocol in ("sass", "rch", "css")
-        )
-        return ExperimentSpec(seed=DEFAULT_SEED, out="results", variations=variations)
-    if name == "latency":
-        variations = tuple(
-            Variation(
-                name=f"{protocol}-latency",
-                protocol=protocol,
-                channels=12,
-                plan="padding",
-                pu=25.0,
-                pairs=1000,
-                horizon=200,
-                busy=DEFAULT_BUSY,
-                drift=None,
-            )
-            for protocol in ("sass", "rch", "css")
-        )
-        return ExperimentSpec(seed=DEFAULT_SEED, out="results", variations=variations)
-    raise SpecError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+        blocks = [f"protocol = {p}\npu = {pu}" for pu in (0, 25, 50, 75) for p in protocols]
+    elif name == "latency":
+        blocks = [
+            f"name = {p}-latency\nprotocol = {p}\npu = 25\nhorizon = 200" for p in protocols
+        ]
+    else:
+        raise SpecError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+    return parse_experiment_text("".join(f"[variation]\n{block}\n" for block in blocks))
 
 
 def variation_seed(global_seed: int, index: int) -> int:
@@ -245,9 +214,7 @@ def _resolve(v: Variation, global_seed: int, index: int) -> tuple[simenv.SimConf
     config = simenv.SimConfig(
         n_channels=v.channels,
         protocol=v.protocol,
-        plan_mode={"padding": "padding", "downsize": "downsizing", "downsizing": "downsizing"}.get(
-            v.plan, v.plan
-        ),
+        plan_mode=v.plan,
         pu_channels=x,
         busy_len=v.busy,
         idle_mean=idle,
@@ -290,14 +257,14 @@ def _run_variation(config: simenv.SimConfig, workers: int, pool) -> list[simenv.
 
 
 def _cmd_experiment(args) -> int:
-    if args.dump_default is not None:
-        text = render_experiment_spec(preset(args.preset or "delivery-rate"))
-        if args.dump_default == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.dump_default).write_text(text)
-        return EXIT_OK
     try:
+        if args.dump_default is not None:
+            text = render_experiment_spec(preset(args.preset or "delivery-rate"))
+            if args.dump_default == "-":
+                sys.stdout.write(text)
+            else:
+                Path(args.dump_default).write_text(text)
+            return EXIT_OK
         if args.spec is not None:
             spec = parse_experiment_text(Path(args.spec).read_text())
         elif args.preset is not None:
@@ -306,18 +273,18 @@ def _cmd_experiment(args) -> int:
             raise SpecError("give a spec file or --preset")
         spec = _apply_overrides(spec, args)
         resolved = _resolve_all(spec)
-    except (OSError, SpecError, ValueError) as exc:
+        out_dir = Path(args.out if args.out is not None else spec.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    out_dir = Path(args.out if args.out is not None else spec.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     workers = max(1, args.workers)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
 
     rho_rows: dict[str, list[tuple]] = {}
     latency_rows: list[tuple] = []
-    summary_rows: list[dict] = []
+    summary_rows: list[tuple] = []
     failures = 0
     try:
         for variation, config, pu_label in resolved:
@@ -344,18 +311,8 @@ def _cmd_experiment(args) -> int:
             )
             committed = sum(1 for t in traces if t.committed_offset is not None)
             summary_rows.append(
-                {
-                    "name": variation.name,
-                    "protocol": variation.protocol,
-                    "pu_level": pu_label,
-                    "pairs": config.pairs,
-                    "horizon": config.horizon,
-                    "rho_final": series.final(),
-                    "missync_rate": rate,
-                    "committed": committed,
-                    "first_mean": report.first_mean,
-                    "undelivered": report.undelivered,
-                }
+                (variation.name, variation.protocol, pu_label, config.pairs, config.horizon,
+                 series.final(), rate, committed, report.first_mean, report.undelivered)
             )
             first = "-" if report.first_mean is None else f"{report.first_mean:.1f}"
             print(
@@ -374,45 +331,23 @@ def _cmd_experiment(args) -> int:
     if latency_rows:
         metrics.write_latency_csv(out_dir / "latency.csv", latency_rows)
     if summary_rows:
-        _write_summary(out_dir / "summary.csv", summary_rows)
+        metrics.write_csv(out_dir / "summary.csv", _SUMMARY_HEADER, summary_rows)
     return EXIT_RUN_FAILURE if failures else EXIT_OK
-
-
-def _write_summary(path: Path, rows: list[dict]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            for key in ("rho_final", "missync_rate", "first_mean"):
-                out[key] = "" if out[key] is None else format(out[key], ".9g")
-            writer.writerow(out)
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    updates = {}
-    if args.pairs is not None:
-        updates["pairs"] = args.pairs
-    if args.horizon is not None:
-        updates["horizon"] = args.horizon
+    # A flag named after a variation key sets it in every variation.
+    updates = {
+        key: getattr(args, key) for key in _VARIATION_KEYS if getattr(args, key, None) is not None
+    }
     if args.pu is not None:
         # A pu override supersedes explicit raw traffic parameters.
-        updates.update(pu=args.pu, occupied=None, idle=None)
-    if args.protocol is not None:
-        updates["protocol"] = args.protocol
-    if args.channels is not None:
-        updates["channels"] = args.channels
+        updates.update(occupied=None, idle=None)
     if args.downsize:
         updates["plan"] = "downsizing"
-    if updates:
-        spec = replace(
-            spec, variations=tuple(replace(v, **updates) for v in spec.variations)
-        )
-    return spec
+    return replace(spec, variations=tuple(replace(v, **updates) for v in spec.variations))
 
 
 def _cmd_sequence(args) -> int:

@@ -25,6 +25,7 @@ __all__ = [
     "avg_latency",
     "latency_report",
     "missync_rate",
+    "write_csv",
     "write_rho_csv",
     "write_latency_csv",
 ]
@@ -110,14 +111,14 @@ class LatencyReport:
     windows: dict[int, tuple[float | None, int]]
 
 
-def latency_report(traces: Sequence, windows: Iterable[int] = LATENCY_WINDOWS) -> LatencyReport:
+def latency_report(traces: Sequence) -> LatencyReport:
     if not traces:
         raise ValueError("no traces")
     firsts = [t.first_delivery for t in traces]
     hit = [f + 1 for f in firsts if f is not None]  # latency in slots, 1-based
     report_windows: dict[int, tuple[float | None, int]] = {}
     horizon = len(_delivered(traces[0]))
-    for w in windows:
+    for w in LATENCY_WINDOWS:
         if w > horizon:
             continue
         values = [avg_latency(t, w) for t in traces]
@@ -141,25 +142,27 @@ def missync_rate(traces: Sequence) -> float:
     return sum(1 for t in committed if t.missync) / len(committed)
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else format(x, ".9g")
+def _fmt(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".9g")
+    return value
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One header row, then each row with floats as `.9g` and None as empty."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
 
 
 def write_rho_csv(path, rows: Iterable[tuple]) -> None:
     """Rows: (protocol, pu_level, t, rho_mean, rho_stddev)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["protocol", "pu_level", "t", "rho_mean", "rho_stddev"])
-        for protocol, pu, t, mean, std in rows:
-            writer.writerow([protocol, pu, t, _fmt(mean), _fmt(std)])
+    write_csv(path, ("protocol", "pu_level", "t", "rho_mean", "rho_stddev"), rows)
 
 
 def write_latency_csv(path, rows: Iterable[tuple]) -> None:
     """Rows: (protocol, pu_level, window, latency_mean, undefined_count)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["protocol", "pu_level", "window", "latency_mean", "undefined_count"]
-        )
-        for protocol, pu, window, mean, undefined in rows:
-            writer.writerow([protocol, pu, window, _fmt(mean), undefined])
+    write_csv(path, ("protocol", "pu_level", "window", "latency_mean", "undefined_count"), rows)

@@ -72,10 +72,6 @@ class SkolemSequence:
         if len(self.values) != 2 * self.order or not verify_skolem(self.values):
             raise ValueError(f"not a valid order-{self.order} sequence: {self.values}")
 
-    @property
-    def period(self) -> int:
-        return 2 * self.order
-
 
 @dataclass(frozen=True)
 class EssSequence:
@@ -148,7 +144,7 @@ def construct_skolem(n: int) -> SkolemSequence:
     return SkolemSequence(order=n, values=found)
 
 
-def enumerate_skolem(n: int, limit: int | None = None) -> Iterator[tuple[int, ...]]:
+def enumerate_skolem(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every order-n sequence (brute force; independent of construct).
 
     Placement order: values descending, positions left to right.  Intended
@@ -160,18 +156,16 @@ def enumerate_skolem(n: int, limit: int | None = None) -> Iterator[tuple[int, ..
     seq = [0] * size
     out: list[tuple[int, ...]] = []
 
-    def place(k: int) -> bool:
+    def place(k: int) -> None:
         if k == 0:
             out.append(tuple(seq))
-            return limit is not None and len(out) >= limit
+            return
         d = k + 1
         for i in range(size - d):
             if seq[i] == 0 and seq[i + d] == 0:
                 seq[i] = seq[i + d] = k
-                if place(k - 1):
-                    return True
+                place(k - 1)
                 seq[i] = seq[i + d] = 0
-        return False
 
     place(n)
     yield from out

@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, spec parsing, output determinism."""
 
 import csv
+import dataclasses
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from skolemhop import cli
 
@@ -120,6 +123,62 @@ class TestSpecParsing:
         assert {v.protocol for v in fig3.variations} == {"sass", "rch", "css"}
         assert all(v.horizon == 200 for v in fig3.variations)
 
+    def test_presets_pinned(self):
+        # Field order: name, protocol, channels, plan, pu, occupied, idle,
+        # pairs, horizon, busy, drift.
+        delivery_rate = [
+            (f"{protocol}-pu{pu}", protocol, 12, "padding", float(pu), None, None,
+             1000, 1000, 400, None)
+            for pu in (0, 25, 50, 75)
+            for protocol in ("sass", "rch", "css")
+        ]
+        latency = [
+            ("sass-latency", "sass", 12, "padding", 25.0, None, None, 1000, 200, 400, None),
+            ("rch-latency", "rch", 12, "padding", 25.0, None, None, 1000, 200, 400, None),
+            ("css-latency", "css", 12, "padding", 25.0, None, None, 1000, 200, 400, None),
+        ]
+        for name, expected in (("delivery-rate", delivery_rate), ("latency", latency)):
+            spec = cli.preset(name)
+            assert (spec.seed, spec.out) == (20260801, "results")
+            assert [dataclasses.astuple(v) for v in spec.variations] == expected
+
+    @given(
+        seed=st.integers(0, 2**63),
+        out=st.from_regex(r"[A-Za-z0-9._/-]+", fullmatch=True),
+        variations=st.lists(
+            st.builds(
+                cli.Variation,
+                name=st.from_regex(r"[A-Za-z0-9._-]+", fullmatch=True),
+                protocol=st.sampled_from(["sass", "rch", "css"]),
+                channels=st.integers(-5, 10**6),
+                plan=st.sampled_from(["padding", "downsizing"]),
+                pu=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+                occupied=st.none() | st.integers(-5, 10**6),
+                idle=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+                pairs=st.integers(-5, 10**9),
+                horizon=st.integers(-5, 10**9),
+                busy=st.integers(-5, 10**6),
+                drift=st.none() | st.integers(-(10**9), 10**9),
+            ),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda v: v.name,
+        ),
+    )
+    @example(
+        seed=1, out="results",
+        variations=[cli.Variation("a", "sass", 12, "padding", 12.3456789, None, None,
+                                  10, 10, 400, None)],
+    )
+    @example(
+        seed=1, out="results",
+        variations=[cli.Variation("a", "sass", 12, "padding", None, 2, 1234567.0,
+                                  10, 10, 400, -3)],
+    )
+    def test_render_roundtrip(self, seed, out, variations):
+        spec = cli.ExperimentSpec(seed=seed, out=out, variations=tuple(variations))
+        assert cli.parse_experiment_text(cli.render_experiment_spec(spec)) == spec
+
     def test_unknown_preset(self):
         with pytest.raises(cli.SpecError):
             cli.preset("figure-9")
@@ -178,11 +237,39 @@ class TestExperimentCommand:
         assert run_cli(["experiment", "--dump-default", str(path)]) == 0
         spec = cli.parse_experiment_text(path.read_text())
         assert spec == cli.preset("delivery-rate")
+        path = tmp_path / "latency.spec"
+        assert run_cli(["experiment", "--preset", "latency", "--dump-default", str(path)]) == 0
+        assert cli.parse_experiment_text(path.read_text()) == cli.preset("latency")
 
     def test_dump_default_stdout(self, capsys):
         assert run_cli(["experiment", "--dump-default"]) == 0
         text = capsys.readouterr().out
         assert "[variation]" in text
+
+    def test_dump_default_unwritable(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.spec"
+        assert run_cli(["experiment", "--dump-default", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "spec"])
+    def test_out_under_file_rejected(self, tmp_path, capsys, via):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = blocker / "out"
+        spec_path = tmp_path / "tiny.spec"
+        args = ["experiment", str(spec_path)]
+        if via == "flag":
+            spec_path.write_text(TINY_SPEC)
+            args += ["--out", str(out_dir)]
+        else:
+            spec_path.write_text(f"out = {out_dir}\n" + TINY_SPEC)
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
 
     def test_overrides(self, tmp_path, capsys):
         spec_path = tmp_path / "tiny.spec"
@@ -228,7 +315,8 @@ class TestExperimentCommand:
     @pytest.mark.parametrize(
         "setting",
         ["pu = 150", "pairs = 0", "plan = bogus", "protocol = foo", "channels = 0",
-         "pu = 25\nchannels = 0", "occupied = 2\nidle = inf", "occupied = 2\nidle = nan"],
+         "pu = 25\nchannels = 0", "occupied = 2\nidle = inf", "occupied = 2\nidle = nan",
+         "plan = downsize"],
     )
     def test_bad_variation_rejected_before_work(self, tmp_path, capsys, setting):
         bad = TINY_SPEC + f"\n[variation]\nname = broken\n{setting}\n"
