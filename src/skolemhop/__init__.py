@@ -12,7 +12,6 @@ from .hopping import (
     delivery_channels,
     delivery_slots,
     drift_channel_table,
-    predicted_delivery_channel,
     shift,
 )
 from .metrics import (
@@ -21,7 +20,6 @@ from .metrics import (
     avg_latency,
     latency_report,
     missync_rate,
-    rho,
     rho_series,
 )
 from .protocol import (

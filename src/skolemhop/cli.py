@@ -144,7 +144,8 @@ def parse_experiment_text(text: str) -> ExperimentSpec:
         fields = {key: _convert(merged, key) for key in _VARIATION_KEYS}
         if fields["name"] is None:
             protocol, pu = fields["protocol"], fields["pu"]
-            fields["name"] = f"{protocol}-pu{pu:g}" if pu is not None else protocol
+            # + 0.0 labels a -0 level as 0, like every other spelling of 0.
+            fields["name"] = f"{protocol}-pu{pu + 0.0:g}" if pu is not None else protocol
         name = fields["name"]
         if not _NAME_PATTERN.fullmatch(name):
             raise SpecError(f"variation name {name!r} must match [A-Za-z0-9._-]+")
@@ -225,7 +226,7 @@ def _resolve(v: Variation, global_seed: int, index: int) -> tuple[simenv.SimConf
     )
     if pu is None:
         pu = simenv.nominal_intensity(x, v.channels, v.busy, idle)
-    return config, f"{pu:g}"
+    return config, f"{pu + 0.0:g}"  # + 0.0: -0 writes rho_pu0.csv, not rho_pu-0.csv
 
 
 def _resolve_all(spec: ExperimentSpec) -> list[tuple[Variation, simenv.SimConfig, str]]:

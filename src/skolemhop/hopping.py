@@ -5,12 +5,15 @@ channel per period (channel |g|-1 for relative drift g, every channel when
 g = 0), and on one slot when 0 < |g| < N', two when |g| = N'.  A receiver
 can therefore read its clock drift off the channel where deliveries happen;
 the exhaustive checkers at the bottom verify those facts for a given base
-sequence.
+sequence, every shift pair through one (P, P) table of rotations.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .skolem import EssSequence
 
@@ -20,7 +23,6 @@ __all__ = [
     "delivery_channels",
     "delivery_slots",
     "canonical_drift",
-    "predicted_delivery_channel",
     "drift_channel_table",
     "check_channel_map",
     "check_slot_counts",
@@ -67,55 +69,63 @@ def canonical_drift(g_raw: int, period: int) -> int:
     return g - period if g > period // 2 else g
 
 
-def predicted_delivery_channel(g: int) -> int | str:
-    """Delivery channel for canonical drift g: ALL_CHANNELS at 0, else |g|-1."""
-    return ALL_CHANNELS if g == 0 else abs(g) - 1
+def _coincidences(u: np.ndarray) -> np.ndarray:
+    """hits[d, t] = (u[(t + d) % P] == u[t]) for base values u, shape (P, P).
+
+    shift(u, a)[t] == shift(u, b)[t] iff hits[(a - b) % P, (t + b) % P], so
+    every shift pair (a, b) meets on the channels, and on as many slots, as
+    rotation d = (a - b) mod P; row d is shift(u, d) against u.
+    """
+    period = len(u)
+    return sliding_window_view(np.concatenate([u, u]), period)[:period] == u
+
+
+def _rotation_channels(ess: EssSequence) -> list[set[int]]:
+    """Delivery channels of each rotation d = 0..P-1 against the base sequence."""
+    u = np.asarray(ess.values)
+    return [set(u[row].tolist()) for row in _coincidences(u)]
+
+
+def _pair_violations(ess: EssSequence, label: str, observed: list, expected: Callable) -> list[str]:
+    """One message per shift pair (a, b), row-major, whose rotation d = (a - b) % P
+    observed something other than expected(g), g being d's canonical drift."""
+    period = ess.period
+    bad = {}
+    for d, got in enumerate(observed):
+        want = expected(canonical_drift(d, period))
+        if got != want:
+            bad[d] = f"{label} {got} != {want}"
+    return [
+        f"shift pair ({a},{b}): {bad[(a - b) % period]}"
+        for a in range(period)
+        for b in sorted((a - d) % period for d in bad)
+    ]
 
 
 def drift_channel_table(ess: EssSequence) -> list[int | str]:
     """Observed delivery channel of shift(u, a) against u, for a = 0..2N'-1."""
-    base = ess.values
-    table: list[int | str] = []
-    for a in range(ess.period):
-        chans = delivery_channels(shift(ess, a), base)
-        table.append(ALL_CHANNELS if len(chans) == ess.n_effective else min(chans))
-    return table
+    return [
+        ALL_CHANNELS if len(chans) == ess.n_effective else min(chans)
+        for chans in _rotation_channels(ess)
+    ]
 
 
 def check_channel_map(ess: EssSequence) -> list[str]:
     """Exhaustively compare delivery-channel sets against the drift prediction.
 
-    Sweeps every shift pair (a, b) of the base sequence; returns one message
-    per violation (empty list means the property holds).
+    Covers every shift pair (a, b) of the base sequence through its rotation;
+    returns one message per violation (empty list means the property holds).
     """
-    period = ess.period
-    all_set = frozenset(range(ess.n_effective))
-    violations = []
-    shifted = [shift(ess, a) for a in range(period)]
-    for a in range(period):
-        for b in range(period):
-            got = delivery_channels(shifted[a], shifted[b])
-            g = canonical_drift(a - b, period)
-            want = all_set if g == 0 else frozenset({abs(g) - 1})
-            if got != want:
-                violations.append(
-                    f"shift pair ({a},{b}): channels {sorted(got)} != {sorted(want)}"
-                )
-    return violations
+    everything = list(range(ess.n_effective))
+    return _pair_violations(
+        ess, "channels", [sorted(chans) for chans in _rotation_channels(ess)],
+        lambda g: everything if g == 0 else [abs(g) - 1],
+    )
 
 
 def check_slot_counts(ess: EssSequence) -> list[str]:
     """Exhaustively check delivery-slot counts: 2N' at g=0, 1 inside, 2 at |g|=N'."""
-    period = ess.period
-    n_eff = ess.n_effective
-    violations = []
-    shifted = [shift(ess, a) for a in range(period)]
-    for a in range(period):
-        for b in range(period):
-            count = len(delivery_slots(shifted[a], shifted[b]))
-            g = canonical_drift(a - b, period)
-            want = period if g == 0 else (2 if abs(g) == n_eff else 1)
-            if count != want:
-                violations.append(f"shift pair ({a},{b}): |slots| {count} != {want}")
-    return violations
-
+    return _pair_violations(
+        ess, "|slots|", _coincidences(np.asarray(ess.values)).sum(axis=1).tolist(),
+        lambda g: ess.period if g == 0 else (2 if abs(g) == ess.n_effective else 1),
+    )

