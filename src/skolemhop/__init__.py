@@ -37,7 +37,6 @@ from .skolem import (
     EssSequence,
     SkolemSequence,
     construct_skolem,
-    enumerate_skolem,
     ess_for_channel_count,
     extend_to_ess,
     make_channel_plan,

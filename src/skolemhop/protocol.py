@@ -5,7 +5,9 @@ A receiver changes its channels only at frame boundaries.  Its
 change (None: unbounded); the simulator plays a span with one
 `channels(local_slot, count)` call and reports it with `observe_block`.
 The per-slot reference surface, `next_channel` then `observe`, feeds the
-same decision code.
+same decision code.  Block lookups index `array[idx % period]`: numpy's
+`take(mode="wrap")` wraps an index by repeated subtraction, so its cost
+would grow with the local slot.
 
 The self-adaptive receiver searches by rotating the base sequence one step
 per frame, then pins the sender's offset from where its first delivery
@@ -81,7 +83,7 @@ class BroadcastSender(_FixedNode):
         return self._values[local_slot % self._period]
 
     def channels(self, local_slot: int, count: int) -> np.ndarray:
-        return self._array.take(np.arange(local_slot, local_slot + count), mode="wrap")
+        return self._array[np.arange(local_slot, local_slot + count) % self._period]
 
 
 class SassReceiver:
@@ -154,7 +156,7 @@ class SassReceiver:
 
     def channels(self, local_slot: int, count: int) -> np.ndarray:
         start = self._start(local_slot, count)
-        return self._array.take(np.arange(start, start + count), mode="wrap")
+        return self._array[np.arange(start, start + count) % self._period]
 
     def observe(self, obs: SlotObservation) -> None:
         if self._pending_channel is None:
@@ -248,7 +250,7 @@ class CssReceiver(_FixedNode):
 
     def channels(self, local_slot: int, count: int) -> np.ndarray:
         t = np.arange(local_slot, local_slot + count)
-        return self._array.take(t + t // self._period, mode="wrap")
+        return self._array[(t + t // self._period) % self._period]
 
 
 class RandomHopper(_FixedNode):

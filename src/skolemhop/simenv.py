@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 MIN_EFFECTIVE_CHANNELS = 4
+RECORD_BLOCK = 1000  # slots per block of NDJSON records
 
 
 @dataclass(frozen=True)
@@ -247,22 +248,44 @@ def run(config: SimConfig, pair_range: Sequence[int] | None = None) -> list[SimT
 
 
 def write_records(path, traces: Iterable[SimTrace]) -> None:
-    """Stream per-slot records as newline-delimited JSON objects."""
-    line = '{"run":%d,"slot":%d,"tx":%d,"rx":%d,"pu":%s,"delivered":%s}\n'
-    word = ("false", "true")
-    with open(path, "w") as fh:
+    """Stream per-slot records as newline-delimited JSON objects.
+
+    Each block of RECORD_BLOCK slots is built as one array of fixed-width
+    rows, one NUL-padded byte-string field per record piece, gathered from
+    small text tables whose entries carry the literals.  The NULs are
+    dropped on write, so the memory per block is fixed whatever the horizon.
+    """
+    # RECORD_BLOCK is a power of ten, so block b's slots print as b's digits
+    # (in the head) and then their zero-padded index in the block.
+    digits = len(str(RECORD_BLOCK - 1))
+    low = np.array([b"%d" % i for i in range(RECORD_BLOCK)])
+    low_padded = np.array([b"%0*d" % (digits, i) for i in range(RECORD_BLOCK)])
+    word = (b"false", b"true")
+    flags = np.array([b',"pu":%s,"delivered":%s}\n' % (pu, hit) for pu in word for hit in word])
+    with open(path, "wb") as fh:
         for trace in traces:
-            pair = trace.pair_index
-            columns = zip(
-                trace.sender_channel.tolist(),
-                trace.receiver_channel.tolist(),
-                trace.pu_blocked.tolist(),
-                trace.delivered.tolist(),
-            )
-            fh.writelines(
-                line % (pair, slot, tx, rx, word[pu], word[hit])
-                for slot, (tx, rx, pu, hit) in enumerate(columns)
-            )
+            tx, rx = trace.sender_channel, trace.receiver_channel
+            channels = range(int(max(tx.max(initial=0), rx.max(initial=0))) + 1)
+            tx_text = np.array([b',"tx":%d' % c for c in channels])
+            rx_text = np.array([b',"rx":%d' % c for c in channels])
+            head = b'{"run":%d,"slot":' % trace.pair_index
+            widest = len(head + b"%d" % ((trace.horizon - 1) // RECORD_BLOCK))
+            layout = np.dtype([
+                ("head", f"S{widest}"), ("low", low.dtype), ("tx", tx_text.dtype),
+                ("rx", rx_text.dtype), ("flags", flags.dtype),
+            ])
+            for start in range(0, trace.horizon, RECORD_BLOCK):
+                block = slice(start, start + RECORD_BLOCK)
+                high = start // RECORD_BLOCK
+                rows = np.empty(len(tx[block]), layout)
+                rows["head"] = head + b"%d" % high if high else head
+                rows["low"] = (low_padded if high else low)[: len(rows)]
+                rows["tx"] = tx_text.take(tx[block])
+                rows["rx"] = rx_text.take(rx[block])
+                pu, hit = trace.pu_blocked[block], trace.delivered[block]
+                rows["flags"] = flags.take(2 * pu.view(np.uint8) + hit.view(np.uint8))
+                text = rows.view(np.uint8)
+                fh.write(text[text != 0])
 
 
 def realized_idle_mean(idle_mean: float) -> float:

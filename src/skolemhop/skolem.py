@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "SkolemSequence",
@@ -21,7 +21,6 @@ __all__ = [
     "ChannelPlan",
     "verify_skolem",
     "construct_skolem",
-    "enumerate_skolem",
     "extend_to_ess",
     "make_channel_plan",
     "ess_for_channel_count",
@@ -142,33 +141,6 @@ def construct_skolem(n: int) -> SkolemSequence:
     if found is None:
         raise RuntimeError(f"search failed for order {n} despite existence")
     return SkolemSequence(order=n, values=found)
-
-
-def enumerate_skolem(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every order-n sequence (brute force; independent of construct).
-
-    Placement order: values descending, positions left to right.  Intended
-    as an oracle for small orders; counts grow fast beyond order 12.
-    """
-    if not _order_exists(n):
-        return
-    size = 2 * n
-    seq = [0] * size
-    out: list[tuple[int, ...]] = []
-
-    def place(k: int) -> None:
-        if k == 0:
-            out.append(tuple(seq))
-            return
-        d = k + 1
-        for i in range(size - d):
-            if seq[i] == 0 and seq[i + d] == 0:
-                seq[i] = seq[i + d] = k
-                place(k - 1)
-                seq[i] = seq[i + d] = 0
-
-    place(n)
-    yield from out
 
 
 def extend_to_ess(s: SkolemSequence) -> EssSequence:

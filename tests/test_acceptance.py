@@ -22,13 +22,12 @@ from skolemhop.hopping import (
 from skolemhop.simenv import SimConfig, run
 from skolemhop.skolem import (
     construct_skolem,
-    enumerate_skolem,
     ess_for_channel_count,
     extend_to_ess,
     verify_skolem,
 )
 
-from test_skolem import independent_check
+from test_skolem import enumerate_skolem, independent_check
 
 CHANNEL_MAP_SWEEP = (4, 5, 8, 9, 12, 13)
 PROTOCOL_SWEEP = (4, 5, 8, 9)

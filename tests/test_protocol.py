@@ -1,5 +1,7 @@
 """Protocol state machines: search, the three calibration cases, baselines."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from skolemhop.protocol import (
     SlotObservation,
     make_pair,
 )
-from skolemhop.skolem import EssSequence
+from skolemhop.skolem import EssSequence, ess_for_channel_count, make_channel_plan
 
 MU = EssSequence(order=3, values=(0, 0, 3, 1, 2, 1, 3, 2))
 
@@ -291,3 +293,42 @@ class TestMakePair:
             make_pair("ach", MU)
         with pytest.raises(ValueError):
             make_pair("rch", MU)
+
+
+def synced_sass(ess, drift):
+    """A SassReceiver locked onto a PU-free sender `drift` slots ahead."""
+    sender, rx = BroadcastSender(ess), SassReceiver(ess)
+    slot = 0
+    while rx.phase is not ReceiverPhase.SYNCED:
+        channel = rx.next_channel(slot)
+        rx.observe(SlotObservation(channel == sender.next_channel(slot + drift), channel))
+        slot += 1
+    return rx, slot
+
+
+class TestBlockLookups:
+    """`channels(s, k)` is the k per-slot channels from local slot s, far
+    from the origin and across frame boundaries."""
+
+    @pytest.mark.parametrize("physical", [3, 10, 13])  # padded to N' = 4, 12, 13
+    @pytest.mark.parametrize("start", ["0", "P-1", 100_007, 1_000_000])
+    @pytest.mark.parametrize("kind", ["sender", "css", "sass"])
+    def test_channels_match_next_channel(self, physical, start, kind):
+        ess = ess_for_channel_count(make_channel_plan(physical, "padding").effective_count)
+        period = ess.period
+        s = {"0": 0, "P-1": period - 1}.get(start, start)
+        counts = (1, period - 1, period, period + 1, 3 * period + 5)
+        if kind != "sass":
+            node = (BroadcastSender if kind == "sender" else CssReceiver)(ess)
+            for k in counts:
+                want = [node.next_channel(t) for t in range(s, s + k)]
+                assert node.channels(s, k).tolist() == want
+            return
+        for drift in range(period):
+            rx, synced_at = synced_sass(ess, drift)
+            at = s if s >= synced_at else synced_at + s
+            rx.observe_block(synced_at, np.zeros(at - synced_at, dtype=bool))
+            for k in counts:
+                walker = copy.deepcopy(rx)
+                want = [feed(walker, t, False) for t in range(at, at + k)]
+                assert rx.channels(at, k).tolist() == want

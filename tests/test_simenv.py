@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skolemhop.simenv import (
+    RECORD_BLOCK,
     PairSimulation,
     PuTraffic,
     SimConfig,
+    SimTrace,
     nominal_intensity,
     pu_parameters,
     realized_idle_mean,
     run,
     solve_idle_mean,
+    write_records,
 )
 
 
@@ -299,3 +304,76 @@ class TestAdjudicationOracle:
                     for s in range(config.horizon)
                 ]
                 assert trace.receiver_channel.tolist() == expected_rx
+
+
+def oracle_write_records(path, traces):
+    """The per-slot `%`-template writer that the block writer replaced."""
+    line = '{"run":%d,"slot":%d,"tx":%d,"rx":%d,"pu":%s,"delivered":%s}\n'
+    word = ("false", "true")
+    with open(path, "w") as fh:
+        for trace in traces:
+            pair = trace.pair_index
+            columns = zip(
+                trace.sender_channel.tolist(),
+                trace.receiver_channel.tolist(),
+                trace.pu_blocked.tolist(),
+                trace.delivered.tolist(),
+            )
+            fh.writelines(
+                line % (pair, slot, tx, rx, word[pu], word[hit])
+                for slot, (tx, rx, pu, hit) in enumerate(columns)
+            )
+
+
+RECORD_HORIZONS = (
+    1, RECORD_BLOCK - 1, RECORD_BLOCK, RECORD_BLOCK + 1, 2 * RECORD_BLOCK + 3,
+    10 * RECORD_BLOCK + 1,
+)
+
+
+@st.composite
+def record_traces(draw):
+    """Traces of mixed horizons, pair indices up to 10**6, channels of 1-3
+    digits and pu/delivered columns of any mix."""
+    traces = []
+    for _ in range(draw(st.integers(1, 3))):
+        horizon = draw(st.sampled_from(RECORD_HORIZONS))
+        top = draw(st.sampled_from([1, 9, 11, 99, 100, 999]))
+        pu_rate, hit_rate = draw(st.floats(0, 1)), draw(st.floats(0, 1))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        traces.append(SimTrace(
+            pair_index=draw(st.integers(0, 10**6)),
+            protocol="sass",
+            drift=0,
+            period=8,
+            sender_channel=rng.integers(0, top + 1, horizon).astype(np.int16),
+            receiver_channel=rng.integers(0, top + 1, horizon).astype(np.int16),
+            pu_blocked=rng.random(horizon) < pu_rate,
+            delivered=rng.random(horizon) < hit_rate,
+            first_delivery=None,
+            committed_offset=None,
+            missync=None,
+        ))
+    return traces
+
+
+class TestWriteRecords:
+    @settings(max_examples=40, deadline=None)
+    @given(traces=record_traces())
+    def test_bytes_match_template_writer(self, traces, tmp_path_factory):
+        out = tmp_path_factory.mktemp("records")
+        write_records(out / "block.ndjson", iter(traces))
+        oracle_write_records(out / "oracle.ndjson", traces)
+        assert (out / "block.ndjson").read_bytes() == (out / "oracle.ndjson").read_bytes()
+
+    def test_simulated_run_matches_template_writer(self, tmp_path):
+        config = SimConfig(n_channels=10, protocol="sass", pu_channels=5, drift=-37,
+                           horizon=2 * RECORD_BLOCK + 3, pairs=2, seed=11)
+        traces = run(config)
+        write_records(tmp_path / "block.ndjson", traces)
+        oracle_write_records(tmp_path / "oracle.ndjson", traces)
+        assert (tmp_path / "block.ndjson").read_bytes() == (tmp_path / "oracle.ndjson").read_bytes()
+
+    def test_no_traces_empty_file(self, tmp_path):
+        write_records(tmp_path / "empty.ndjson", iter(()))
+        assert (tmp_path / "empty.ndjson").read_bytes() == b""

@@ -1,6 +1,11 @@
-"""Sequence construction, verification, and channel-plan tests."""
+"""Sequence construction, verification, and channel-plan tests.
+
+`enumerate_skolem`, the brute-force enumerator, is the small-order oracle
+for `construct_skolem`.
+"""
 
 import hashlib
+from typing import Iterator
 
 import pytest
 from hypothesis import given
@@ -10,8 +15,8 @@ from skolemhop.skolem import (
     EXISTENCE_CONDITION,
     EssSequence,
     SkolemSequence,
+    _order_exists,
     construct_skolem,
-    enumerate_skolem,
     ess_for_channel_count,
     extend_to_ess,
     make_channel_plan,
@@ -24,6 +29,33 @@ ADMISSIBLE_ORDERS_BELOW_64 = [n for n in range(1, 64) if n % 4 in (0, 3)]
 # pins the constructed sequences (order 11 is the presets' N' = 12).
 SEQUENCE_DIGEST_ORDERS = [n for n in ADMISSIBLE_ORDERS_BELOW_64 if n != 31]
 SEQUENCE_DIGEST = "eaafd226118383937767a473f8eb1e1f98cc1cb5de3f72066681e74c333e826c"
+
+
+def enumerate_skolem(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every order-n sequence (brute force; independent of construct).
+
+    Placement order: values descending, positions left to right.  Intended
+    as an oracle for small orders; counts grow fast beyond order 12.
+    """
+    if not _order_exists(n):
+        return
+    size = 2 * n
+    seq = [0] * size
+    out: list[tuple[int, ...]] = []
+
+    def place(k: int) -> None:
+        if k == 0:
+            out.append(tuple(seq))
+            return
+        d = k + 1
+        for i in range(size - d):
+            if seq[i] == 0 and seq[i + d] == 0:
+                seq[i] = seq[i + d] = k
+                place(k - 1)
+                seq[i] = seq[i + d] = 0
+
+    place(n)
+    yield from out
 
 
 def independent_check(values, zero_based=False):
