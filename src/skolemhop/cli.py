@@ -11,12 +11,11 @@ variation never perturbs existing results.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import hopping, metrics, simenv
 from .skolem import (
@@ -32,6 +31,7 @@ DEFAULT_SEED = 20260801
 DEFAULT_BUSY = 400
 PRESETS = ("delivery-rate", "latency")
 THEOREMS_MAX_EFFECTIVE = 64
+CHUNK_PAIRS = 50  # pairs per pool task, whatever --workers is
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
@@ -198,8 +198,7 @@ def preset(name: str) -> ExperimentSpec:
 
 def variation_seed(global_seed: int, index: int) -> int:
     """Stable per-variation seed: SeedSequence(global, spawn_key=(index,))."""
-    ss = np.random.SeedSequence(entropy=global_seed, spawn_key=(index,))
-    return int(ss.generate_state(1)[0])
+    return simenv.seed_words(global_seed, (index,), 1)[0]
 
 
 def _resolve(v: Variation, global_seed: int, index: int) -> tuple[simenv.SimConfig, str]:
@@ -244,16 +243,37 @@ def _run_chunk(config: simenv.SimConfig, start: int, stop: int) -> list[simenv.S
     return simenv.run(config, pair_range=range(start, stop))
 
 
+class _ChunkPipeline:
+    """A process pool fed every variation's chunks in order, at most two per process in flight."""
+
+    def __init__(self, configs: list[simenv.SimConfig], workers: int):
+        # Imported here: the pool module adds 15-25 ms to every start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Under fork, every process starts at the first submit: no more than can run.
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+        processes = min(workers, usable or os.cpu_count() or 1)
+        self.executor = ProcessPoolExecutor(max_workers=processes)
+        self.window = 2 * processes
+        self.chunks = ((c, s, min(s + CHUNK_PAIRS, c.pairs))
+                       for c in configs for s in range(0, c.pairs, CHUNK_PAIRS))
+        self.in_flight: list = []  # (config, future), in submission order
+
+    def collect(self, config: simenv.SimConfig) -> list[simenv.SimTrace]:
+        """The traces of config's chunks, or its first error once every chunk is in."""
+        done = []
+        while True:
+            while len(self.in_flight) < self.window and (chunk := next(self.chunks, None)):
+                self.in_flight.append((chunk[0], self.executor.submit(_run_chunk, *chunk)))
+            if done:
+                done[-1].exception()  # waits for the chunk taken last, the window full again
+            if not self.in_flight or self.in_flight[0][0] is not config:
+                return [trace for future in done for trace in future.result()]
+            done.append(self.in_flight.pop(0)[1])
+
+
 def _run_variation(config: simenv.SimConfig, workers: int, pool) -> list[simenv.SimTrace]:
-    if workers <= 1 or config.pairs < 2 * workers:
-        return simenv.run(config)
-    chunk = -(-config.pairs // (workers * 2))
-    starts = list(range(0, config.pairs, chunk))
-    futures = [pool.submit(_run_chunk, config, s, min(s + chunk, config.pairs)) for s in starts]
-    traces: list[simenv.SimTrace] = []
-    for future in futures:
-        traces.extend(future.result())
-    return traces
+    return simenv.run(config) if pool is None else pool.collect(config)
 
 
 def _cmd_experiment(args) -> int:
@@ -280,12 +300,7 @@ def _cmd_experiment(args) -> int:
         return EXIT_USAGE
 
     workers = max(1, args.workers)
-    pool = None
-    if workers > 1:
-        # Imported here: the pool module adds 15-25 ms to every start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
+    pool = _ChunkPipeline([c for _, c, _ in resolved], workers) if workers > 1 else None
 
     rho_rows: dict[str, list[tuple]] = {}
     latency_rows: list[tuple] = []
@@ -329,7 +344,7 @@ def _cmd_experiment(args) -> int:
                 simenv.write_records(out_dir / f"{variation.name}.ndjson", traces)
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.executor.shutdown()
 
     for pu_label, rows in rho_rows.items():
         metrics.write_rho_csv(out_dir / f"rho_pu{pu_label}.csv", rows)

@@ -10,6 +10,7 @@ from the config seed; identical configs replay bit-identically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -34,6 +35,8 @@ __all__ = [
 
 MIN_EFFECTIVE_CHANNELS = 4
 RECORD_BLOCK = 1000  # slots per block of NDJSON records
+SEED_BLOCK = 256  # pair indices per block of seed states
+_MASK = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,84 @@ class SimTrace:
     def horizon(self) -> int:
         return len(self.delivered)
 
+    def __reduce__(self):
+        # One buffer for the four per-slot arrays halves a trace's pickle round trip.
+        arrays = [self.sender_channel, self.receiver_channel, self.pu_blocked, self.delivered]
+        scalars = (self.pair_index, self.protocol, self.drift, self.period,
+                   self.first_delivery, self.committed_offset, self.missync)
+        return _unpickle_trace, (scalars, [a.dtype for a in arrays], bytearray().join(arrays))
+
+
+def _unpickle_trace(scalars, dtypes, buffer) -> SimTrace:
+    sizes = [d.itemsize for d in dtypes]
+    horizon = len(buffer) // sum(sizes)
+    arrays = [np.frombuffer(buffer, d, horizon, horizon * sum(sizes[:i]))
+              for i, d in enumerate(dtypes)]
+    return SimTrace(*scalars[:4], *arrays, *scalars[4:])
+
+
+def seed_words(seed: int, spawn_key: tuple, n_words: int) -> list:
+    """SeedSequence(seed, spawn_key).generate_state(n_words) by numpy's algorithm, whose
+    hash constants do not depend on the words: key entries may be uint32 arrays."""
+    def hasher(const: int, mult: int):  # hashmix; each call advances the constant
+        def hashmix(value):
+            nonlocal const
+            value = (value ^ const) * (const := const * mult & _MASK) & _MASK
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x, y):
+        result = ((0xCA01F9DD * x & _MASK) - 0x4973F715 * y) & _MASK
+        return result ^ result >> 16
+
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer seed, got {seed}")
+    words = [seed >> s & _MASK for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))  # a spawn key follows: pad to the pool size
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)  # SeedSequence's INIT_A, MULT_A
+    pool = [hashmix(word) for word in words[:4]]
+    for src, dst in [(src, dst) for src in range(4) for dst in range(4) if src != dst]:
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in [*words[4:], *spawn_key]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = hasher(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
+    return [hashmix(pool[i % 4]) for i in range(n_words)]
+
+
+@functools.lru_cache(maxsize=2)
+def _state_block(seed: int, block: int) -> np.ndarray:
+    """[k, j % SEED_BLOCK] -> stream state of pair j's stream k, for block j // SEED_BLOCK."""
+    pairs = np.arange(block * SEED_BLOCK, (block + 1) * SEED_BLOCK, dtype=np.uint32)
+    words = seed_words(seed, (pairs, np.arange(4, dtype=np.uint32)[:, None]), 8)
+    states = np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+    states.flags.writeable = False
+    return states
+
+
+@functools.cache
+def _state_seed_sequence() -> type:
+    # Imported here: numpy.random (~6 MB, ~20 ms) loads only in processes that simulate.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeedSequence(ISeedSequence):  # a stream state computed in advance
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for 4 uint64
+            return self.state
+
+    return StateSeedSequence
+
+
+def pair_stream(seed: int, pair_index: int, k: int) -> np.random.Generator:
+    """Generator(PCG64(SeedSequence(seed, spawn_key=(pair_index, k)))), from the block cache."""
+    if not 0 <= pair_index <= _MASK:
+        raise ValueError(f"pair index must be within [0, 2**32), got {pair_index}")
+    block, row = divmod(pair_index, SEED_BLOCK)
+    state = _state_block(seed, block)[k, row]
+    return np.random.Generator(np.random.PCG64(_state_seed_sequence()(state)))
+
 
 class PuTraffic:
     """Busy/idle occupancy for the channels a primary user operates on.
@@ -117,12 +198,19 @@ class PuTraffic:
         horizon: int,
     ):
         self.occupied = tuple(sorted(int(c) for c in occupied))
-        self.busy_len = busy_len
-        self.idle_mean = idle_mean
-        matrix = np.zeros((horizon, n_channels), dtype=bool)  # [slot, channel]
+        b, exponential = busy_len, rng.exponential
+        matrix = np.zeros((n_channels, horizon), dtype=bool)  # [channel, slot]
         for ch in self.occupied:
-            matrix[:, ch] = self._busy_column(horizon, rng)
-        self.rows = matrix
+            col = matrix[ch]
+            # Draws: the first idle length, the phase, then one idle length per busy period.
+            first_idle = max(1, int(exponential(idle_mean) + 0.5))
+            phase = int(rng.integers(0, b + first_idle))
+            col[:max(b - phase, 0)] = True  # the rest of a first busy period
+            pos = b + first_idle - phase
+            while pos < horizon:
+                col[pos:pos + b] = True
+                pos += b + max(1, int(exponential(idle_mean) + 0.5))
+        self.rows = matrix.T  # [slot, channel]
 
     @classmethod
     def sample(
@@ -136,26 +224,6 @@ class PuTraffic:
     ) -> "PuTraffic":
         occupied = rng.choice(n_channels, size=pu_channels, replace=False)
         return cls(n_channels, occupied, busy_len, idle_mean, rng, horizon)
-
-    def _idle_len(self, rng: np.random.Generator) -> int:
-        return max(1, int(rng.exponential(self.idle_mean) + 0.5))
-
-    def _busy_column(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        col = np.zeros(horizon, dtype=bool)
-        b = self.busy_len
-        first_idle = self._idle_len(rng)
-        phase = int(rng.integers(0, b + first_idle))
-        pos = 0
-        if phase < b:
-            run = min(b - phase, horizon)
-            col[:run] = True
-            pos = run + first_idle
-        else:
-            pos = (b + first_idle) - phase
-        while pos < horizon:
-            col[pos:pos + b] = True
-            pos += b + self._idle_len(rng)
-        return col
 
 
 class PairSimulation:
@@ -177,10 +245,7 @@ class PairSimulation:
         self.period = self.ess.period
 
         # Stream k is child k of spawn_key=(j,)'s spawn(4): 0 drift, 1 PU, 2 tx, 3 rx.
-        def stream(k: int) -> np.random.Generator:
-            ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(pair_index, k))
-            return np.random.Generator(np.random.PCG64(ss))
-
+        stream = functools.partial(pair_stream, config.seed, pair_index)
         if config.drift is None:
             n_eff = self.plan.effective_count
             self.drift = int(stream(0).integers(0, 2 * n_eff * n_eff))

@@ -1,8 +1,13 @@
 """Command-line interface: subcommands, spec parsing, output determinism."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -34,6 +39,72 @@ name = rch-small
 protocol = rch
 pu = 25
 """
+
+
+# One chunk and a bit per variation, with alias channels (10 -> 12) and a
+# negative drift.
+POOL_SPEC = f"""\
+seed = 5
+pairs = {cli.CHUNK_PAIRS + 1}
+horizon = 120
+busy = 40
+channels = 10
+
+[variation]
+name = sass-neg
+protocol = sass
+pu = 50
+drift = -37
+
+[variation]
+name = rch-pu25
+protocol = rch
+pu = 25
+
+[variation]
+name = css-pu50
+protocol = css
+pu = 50
+"""
+
+# Three chunks of the middle variation are in flight when its first one fails.
+FAILING_SPEC = f"""\
+seed = 8
+pairs = {2 * cli.CHUNK_PAIRS + 20}
+horizon = 60
+busy = 20
+
+[variation]
+name = sass-first
+protocol = sass
+pu = 25
+
+[variation]
+name = css-failing
+protocol = css
+pu = 25
+
+[variation]
+name = rch-last
+protocol = rch
+pu = 25
+"""
+
+_RUN_CHUNK = cli._run_chunk
+
+
+def _chunk_failing_for_css(config, start, stop):
+    # Module-level, so that the pool can send it to its workers by name.
+    if config.protocol == "css" and start == 0:
+        raise RuntimeError("injected chunk failure")
+    return _RUN_CHUNK(config, start, stop)
+
+
+def experiment_outputs(spec_path, out_dir, workers):
+    args = ["experiment", str(spec_path), "--out", str(out_dir), "--records",
+            "--workers", str(workers)]
+    code = run_cli(args)
+    return code, {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
 
 
 class TestSequenceCommand:
@@ -221,15 +292,86 @@ class TestExperimentCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_workers_match_single_process(self, tmp_path):
-        spec_path = tmp_path / "tiny.spec"
-        spec_path.write_text(TINY_SPEC)
-        out_a, out_b = tmp_path / "w1", tmp_path / "w2"
-        assert run_cli(["experiment", str(spec_path), "--out", str(out_a)]) == 0
-        assert run_cli(
-            ["experiment", str(spec_path), "--out", str(out_b), "--workers", "2"]
-        ) == 0
-        for name in ("rho_pu25.csv", "latency.csv", "summary.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        # Fewer pairs than a chunk, then one pair more than a chunk.
+        for label, spec in (("tiny", TINY_SPEC), ("pool", POOL_SPEC)):
+            spec_path = tmp_path / f"{label}.spec"
+            spec_path.write_text(spec)
+            code, single = experiment_outputs(spec_path, tmp_path / f"{label}-w1", 1)
+            assert code == 0
+            assert any(name.endswith(".ndjson") for name in single)
+            for workers in (2, 3):
+                out_dir = tmp_path / f"{label}-w{workers}"
+                assert experiment_outputs(spec_path, out_dir, workers) == (0, single)
+
+    def test_failed_chunk_fails_only_its_variation(self, tmp_path, capsys, monkeypatch):
+        spec_path = tmp_path / "failing.spec"
+        spec_path.write_text(FAILING_SPEC)
+        code, clean = experiment_outputs(spec_path, tmp_path / "clean", 1)
+        assert code == 0
+        # Patched before the pool forks, so the workers run the failing chunk.
+        monkeypatch.setattr(cli, "_run_chunk", _chunk_failing_for_css)
+        code, failed = experiment_outputs(spec_path, tmp_path / "failed", 2)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: variation css-failing: injected chunk failure" in err
+        assert "sass-first" not in err and "rch-last" not in err
+        assert "css-failing.ndjson" not in failed
+
+        def without_css(outputs):
+            rows = {}
+            for name, data in outputs.items():
+                if name.endswith(".csv"):
+                    lines = data.decode().splitlines()
+                    rows[name] = [r for r in csv.reader(lines) if "css" not in r]
+                elif not name.startswith("css"):
+                    rows[name] = data
+            return rows
+
+        assert without_css(failed) == without_css(clean)
+
+    def test_pool_capped_at_usable_cpus(self, tmp_path, monkeypatch):
+        created, submitted = [], []
+
+        class InlineExecutor:
+            """Runs each chunk when submitted, in this process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def submit(self, fn, *args):
+                submitted.append(args[1:])
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        spec_path = tmp_path / "pool.spec"
+        spec_path.write_text(POOL_SPEC)
+        _, single = experiment_outputs(spec_path, tmp_path / "w1", 1)
+        assert experiment_outputs(spec_path, tmp_path / "w5000", 5000) == (0, single)
+        assert created == [3]
+        # The chunks do not depend on --workers: CHUNK_PAIRS, then the rest.
+        chunk = cli.CHUNK_PAIRS
+        assert submitted == [(0, chunk), (chunk, chunk + 1)] * 3
+
+    def test_commands_without_simulation_leave_numpy_random_unloaded(self):
+        script = (
+            "import sys\n"
+            "from skolemhop import cli\n"
+            "assert cli.main(['theorems', '12']) == 0\n"
+            "assert cli.main(['sequence', '--channels', '10']) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
 
     def test_empty_spec_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "empty.spec"
