@@ -17,7 +17,6 @@ from .hopping import (
 from .metrics import (
     LatencyReport,
     RhoSeries,
-    avg_latency,
     latency_report,
     missync_rate,
     rho_series,

@@ -21,7 +21,6 @@ __all__ = [
     "LATENCY_WINDOWS",
     "rho_sample_points",
     "rho_series",
-    "avg_latency",
     "latency_report",
     "missync_rate",
     "write_csv",
@@ -64,11 +63,11 @@ class RhoSeries:
 def rho_series(traces: Sequence, points: Sequence[int] | None = None) -> RhoSeries:
     if not traces:
         raise ValueError("no traces")
-    matrix = np.stack([_delivered(t) for t in traces]).astype(np.float64)
-    horizon = matrix.shape[1]
+    matrix = np.stack([_delivered(t) for t in traces])
+    # A count never exceeds the horizon: the narrowest type holding it is exact, and fastest.
+    cum = matrix.cumsum(axis=1, dtype=np.min_scalar_type(matrix.shape[1]))
     if points is None:
-        points = rho_sample_points(horizon)
-    cum = matrix.cumsum(axis=1)
+        points = rho_sample_points(cum.shape[1])
     idx = np.asarray(points, dtype=int)
     per_pair = cum[:, idx - 1] / idx
     return RhoSeries(
@@ -76,15 +75,6 @@ def rho_series(traces: Sequence, points: Sequence[int] | None = None) -> RhoSeri
         mean=tuple(per_pair.mean(axis=0).tolist()),
         stddev=tuple(per_pair.std(axis=0).tolist()),
     )
-
-
-def avg_latency(trace, window: int) -> float | None:
-    """window / deliveries within it; None when no delivery occurred."""
-    delivered = _delivered(trace)
-    if not 1 <= window <= len(delivered):
-        raise ValueError(f"window must be within [1, {len(delivered)}], got {window}")
-    hits = int(delivered[:window].sum())
-    return window / hits if hits else None
 
 
 @dataclass(frozen=True)
@@ -108,14 +98,13 @@ def latency_report(traces: Sequence) -> LatencyReport:
     firsts = [t.first_delivery for t in traces]
     hit = [f + 1 for f in firsts if f is not None]  # latency in slots, 1-based
     report_windows: dict[int, tuple[float | None, int]] = {}
-    horizon = len(_delivered(traces[0]))
+    # Deliveries within the first w slots, per pair; the mean is over pairs with any.
+    hits = np.stack([_delivered(t)[:max(LATENCY_WINDOWS)] for t in traces]).cumsum(axis=1)
     for w in LATENCY_WINDOWS:
-        if w > horizon:
-            continue
-        values = [avg_latency(t, w) for t in traces]
-        defined = [v for v in values if v is not None]
-        mean = sum(defined) / len(defined) if defined else None
-        report_windows[w] = (mean, len(values) - len(defined))
+        if w <= hits.shape[1]:
+            counts = [c for c in hits[:, w - 1].tolist() if c]
+            mean = sum(w / c for c in counts) / len(counts) if counts else None
+            report_windows[w] = (mean, len(traces) - len(counts))
     return LatencyReport(
         pairs=len(traces),
         first_mean=sum(hit) / len(hit) if hit else None,

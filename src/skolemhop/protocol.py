@@ -1,13 +1,12 @@
 """Broadcast protocol state machines.
 
-A receiver changes its channels only at frame boundaries.  Its
-`span(local_slot)` counts the slots whose channels its observations cannot
-change (None: unbounded); the simulator plays a span with one
-`channels(local_slot, count)` call and reports it with `observe_block`.
-The per-slot reference surface, `next_channel` then `observe`, feeds the
-same decision code.  Block lookups index `array[idx % period]`: numpy's
-`take(mode="wrap")` wraps an index by repeated subtraction, so its cost
-would grow with the local slot.
+A receiver changes its channels only at frame boundaries.  The sender
+and both sequence receivers play stretches of the base sequence, so the
+simulator reads their channels off cached tables (`simenv.sequence_tables`);
+the self-adaptive receiver tells it, frame by frame, where in the base
+sequence it is (`frame()`), and takes each frame's deliveries back with
+`step(count, hits)`.  The per-slot reference surface, `next_channel` then
+`observe`, feeds the same decision code.
 
 The self-adaptive receiver searches by rotating the base sequence one step
 per frame, then pins the sender's offset from where its first delivery
@@ -19,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -59,13 +59,7 @@ class _FixedNode:
 
     committed_offset: int | None = None
 
-    def span(self, local_slot: int) -> int | None:
-        return None
-
     def observe(self, obs: SlotObservation) -> None:
-        pass
-
-    def observe_block(self, local_slot: int, delivered: np.ndarray) -> None:
         pass
 
 
@@ -76,14 +70,10 @@ class BroadcastSender(_FixedNode):
 
     def __init__(self, ess: EssSequence):
         self._values = ess.values
-        self._array = np.array(ess.values)
         self._period = ess.period
 
     def next_channel(self, local_slot: int) -> int:
         return self._values[local_slot % self._period]
-
-    def channels(self, local_slot: int, count: int) -> np.ndarray:
-        return self._array[np.arange(local_slot, local_slot + count) % self._period]
 
 
 class SassReceiver:
@@ -106,7 +96,6 @@ class SassReceiver:
     def __init__(self, ess: EssSequence):
         self.ess = ess
         self._values = ess.values
-        self._array = np.array(ess.values)
         self._period = ess.period
         self._n_eff = ess.n_effective
         self.phase = ReceiverPhase.SEARCHING
@@ -133,30 +122,20 @@ class SassReceiver:
         assert self.committed_offset is not None
         return self.committed_offset
 
-    def span(self, local_slot: int) -> int | None:
-        """Slots to the end of the frame; unbounded once synced."""
+    def frame(self) -> tuple[int, int | None]:
+        """(index, left): the next slot plays values[index], and the slots after it
+        play on through the base sequence, wrapping at P, for `left` slots in all
+        -- to the end of the frame; None once synced, when that never ends."""
+        index = (self._slot + self._offset()) % self._period
         if self.phase is ReceiverPhase.SYNCED:
-            return None
-        return self._period - local_slot % self._period
-
-    def _start(self, local_slot: int, count: int) -> int:
-        """Sequence index of a block's first slot, once it is checked to be
-        the next one and to stay within the span."""
-        if local_slot != self._slot:
-            raise ValueError(f"expected local slot {self._slot}, got {local_slot}")
-        span = self.span(local_slot)
-        if span is not None and count > span:
-            raise ValueError(f"{count} slots from {local_slot} cross a frame boundary")
-        return local_slot + self._offset()
+            return index, None
+        return index, self._period - self._slot % self._period
 
     def next_channel(self, local_slot: int) -> int:
-        channel = self._values[self._start(local_slot, 1) % self._period]
-        self._pending_channel = channel
-        return channel
-
-    def channels(self, local_slot: int, count: int) -> np.ndarray:
-        start = self._start(local_slot, count)
-        return self._array[np.arange(start, start + count) % self._period]
+        if local_slot != self._slot:
+            raise ValueError(f"expected local slot {self._slot}, got {local_slot}")
+        self._pending_channel = self._values[self.frame()[0]]
+        return self._pending_channel
 
     def observe(self, obs: SlotObservation) -> None:
         if self._pending_channel is None:
@@ -167,23 +146,19 @@ class SassReceiver:
                 f"{self._pending_channel}"
             )
         self._pending_channel = None
-        self._advance(1, [self._slot % self._period] if obs.delivered else [])
+        self.step(1, [0] if obs.delivered else [])
 
-    def observe_block(self, local_slot: int, delivered: np.ndarray) -> None:
-        self._start(local_slot, len(delivered))
-        hits = []
-        if self.phase is not ReceiverPhase.SYNCED:
-            hits = (np.flatnonzero(delivered) + local_slot % self._period).tolist()
-        self._advance(len(delivered), hits)
-
-    def _advance(self, count: int, hits: list[int]) -> None:
-        """The one decision path: consume `count` slots of one span, with
-        deliveries at in-frame slots `hits`."""
-        frame = self._slot // self._period
+    def step(self, count: int, hits: Sequence[int] = ()) -> None:
+        """The one decision path: consume the next `count` slots, all in one frame
+        until synced, with deliveries on the `hits`-th of them."""
+        frame, in_frame = divmod(self._slot, self._period)
+        if count > self._period - in_frame and self.phase is not ReceiverPhase.SYNCED:
+            raise ValueError(f"{count} slots from {self._slot} cross a frame boundary")
         self._slot += count
         if self.phase is ReceiverPhase.SYNCED:
             return
         if hits:
+            hits = [in_frame + k for k in hits]
             self.sb[frame] = self.sb.get(frame, 0) + len(hits)
             if self.phase is ReceiverPhase.SEARCHING:
                 if self.first_delivery is None:
@@ -241,16 +216,11 @@ class CssReceiver(_FixedNode):
 
     def __init__(self, ess: EssSequence):
         self._values = ess.values
-        self._array = np.array(ess.values)
         self._period = ess.period
 
     def next_channel(self, local_slot: int) -> int:
         frame = local_slot // self._period
         return self._values[(local_slot + frame) % self._period]
-
-    def channels(self, local_slot: int, count: int) -> np.ndarray:
-        t = np.arange(local_slot, local_slot + count)
-        return self._array[(t + t // self._period) % self._period]
 
 
 class RandomHopper(_FixedNode):

@@ -25,6 +25,7 @@ __all__ = [
     "SimTrace",
     "PuTraffic",
     "PairSimulation",
+    "sequence_tables",
     "run",
     "write_records",
     "pu_parameters",
@@ -198,19 +199,17 @@ class PuTraffic:
         horizon: int,
     ):
         self.occupied = tuple(sorted(int(c) for c in occupied))
-        b, exponential = busy_len, rng.exponential
-        matrix = np.zeros((n_channels, horizon), dtype=bool)  # [channel, slot]
+        self.rows = np.zeros((horizon, n_channels), dtype=bool)  # [slot, channel]
         for ch in self.occupied:
-            col = matrix[ch]
+            col = self.rows[:, ch]
             # Draws: the first idle length, the phase, then one idle length per busy period.
-            first_idle = max(1, int(exponential(idle_mean) + 0.5))
-            phase = int(rng.integers(0, b + first_idle))
-            col[:max(b - phase, 0)] = True  # the rest of a first busy period
-            pos = b + first_idle - phase
+            first_idle = max(1, int(rng.exponential(idle_mean) + 0.5))
+            phase = int(rng.integers(0, busy_len + first_idle))
+            col[:max(busy_len - phase, 0)] = True  # the rest of a first busy period
+            pos = busy_len + first_idle - phase
             while pos < horizon:
-                col[pos:pos + b] = True
-                pos += b + max(1, int(exponential(idle_mean) + 0.5))
-        self.rows = matrix.T  # [slot, channel]
+                col[pos:pos + busy_len] = True
+                pos += busy_len + max(1, int(rng.exponential(idle_mean) + 0.5))
 
     @classmethod
     def sample(
@@ -222,19 +221,42 @@ class PuTraffic:
         rng: np.random.Generator,
         horizon: int,
     ) -> "PuTraffic":
-        occupied = rng.choice(n_channels, size=pu_channels, replace=False)
+        occupied = rng.choice(n_channels, size=pu_channels, replace=False) if pu_channels else ()
         return cls(n_channels, occupied, busy_len, idle_mean, rng, horizon)
 
 
+@functools.lru_cache(maxsize=4)
+def sequence_tables(plan: ChannelPlan, horizon: int) -> dict[str, np.ndarray]:
+    """Read-only channel tables that a pair's sequence nodes play as slice views:
+    `base`, the base sequence tiled to max(horizon, P) + P slots (the sender
+    from local slot s is base[s % P:][:horizon], a SASS frame base[i:i + n]
+    with i < P); `css`, the CSS schedule values[(t + t // P) % P], which repeats
+    every P^2 slots, tiled to P^2 + horizon; `phys_base` and `phys_css`, their
+    physical twins through the alias map; `alias`; and `cells`, where each
+    trace slot's row starts in the flattened (slot, channel) PU matrix."""
+    u = np.array(ess_for_channel_count(plan.effective_count).values, dtype=np.int16)
+    period = len(u)
+    t = np.arange(period * period)
+    alias = np.array(plan.alias, dtype=np.int16)
+    base = np.resize(u, max(horizon, period) + period)
+    css = np.resize(u[(t + t // period) % period], period * period + horizon)
+    tables = dict(base=base, css=css, phys_base=alias[base], phys_css=alias[css],
+                  alias=alias, cells=np.arange(horizon) * plan.physical_count)
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
+
+
 class PairSimulation:
-    """One sender/receiver pair, simulated one receiver span at a time.
+    """One sender/receiver pair, simulated a receiver frame at a time.
 
     Trace slot 0 is the first slot with both nodes active.  With drift d >= 0
     the sender's local clock reads d + s at trace slot s; a negative drift
     (receiver ahead) runs the receiver through |d| pre-roll slots with no
     deliveries before the trace starts.  PU occupancy is indexed by trace
-    slot.  A span is a stretch of slots whose channels the receiver's
-    observations cannot change, so each one is adjudicated in one numpy step.
+    slot.  The sender and the CSS receiver play one slice of
+    `sequence_tables`; the SASS receiver plays one slice per search or probe
+    frame, then one for the rest of the run once it has committed.
     """
 
     def __init__(self, config: SimConfig, pair_index: int):
@@ -256,7 +278,7 @@ class PairSimulation:
             config.pu_channels,
             config.busy_len,
             config.idle_mean,
-            stream(1),
+            stream(1) if config.pu_channels else None,
             config.horizon,
         )
         rngs = (stream(2), stream(3)) if config.protocol == "rch" else (None, None)
@@ -265,45 +287,62 @@ class PairSimulation:
         self._rx_base = max(-self.drift, 0)
 
     def run(self) -> SimTrace:
-        horizon = self.config.horizon
-        pre = self._rx_base
-        end = pre + horizon
-        slots = np.arange(horizon)
-        busy = np.asarray(self.pu.rows)
-        alias = np.array(self.plan.alias)
-        tx = self.sender.channels(self._tx_base, horizon)
-        tx_busy = busy[slots, alias[tx]]
-        # Per receiver-local slot, the physical channel a delivery needs;
-        # -1 where none can happen (the pre-roll, or the sender's channel busy).
-        target = np.concatenate((np.full(pre, -1), np.where(tx_busy, -1, alias[tx])))
-        rx = np.empty(end, dtype=np.int16)
-        delivered = np.empty(end, dtype=bool)
-        start = 0
-        while start < end:
-            span = self.receiver.span(start)
-            block = slice(start, end if span is None else min(start + span, end))
-            rx[block] = self.receiver.channels(start, block.stop - start)
-            delivered[block] = alias[rx[block]] == target[block]
-            self.receiver.observe_block(start, delivered[block])
-            start = block.stop
-        rx, delivered = rx[pre:], delivered[pre:]
+        horizon, period, pre = self.config.horizon, self.period, self._rx_base
+        protocol, tables = self.config.protocol, sequence_tables(self.plan, horizon)
+        # Physical channel c at trace slot s is busy[cells[s] + c].
+        busy, cells = np.asarray(self.pu.rows).ravel(), tables["cells"]
+        if protocol == "rch":
+            tx = self.sender.channels(self._tx_base, horizon)
+            rx = self.receiver.channels(0, pre + horizon)[pre:]
+            tx_phys, rx_phys = tables["alias"].take(tx), tables["alias"].take(rx)
+            tx, rx = tx.astype(np.int16), rx.astype(np.int16)
+        else:
+            at = self._tx_base % period
+            tx, tx_phys = tables["base"][at:at + horizon], tables["phys_base"][at:at + horizon]
+        tx_busy = busy[cells + tx_phys]
+        target = tx_phys.copy()  # the channel a delivery needs; -1 where it is busy
+        np.putmask(target, tx_busy, -1)
+        if protocol == "css":
+            at = pre % (period * period)
+            rx, rx_phys = tables["css"][at:at + horizon], tables["phys_css"][at:at + horizon]
+        elif protocol == "sass":
+            rx, rx_phys = self._play_sass(tables, target)
+        delivered = rx_phys == target
+        first = int(delivered.argmax())
         committed = self.receiver.committed_offset
-        missync = None
-        if self.config.protocol == "sass" and committed is not None:
-            missync = (committed - self.drift) % self.period != 0
+        synced = protocol == "sass" and committed is not None
+        missync = (committed - self.drift) % period != 0 if synced else None
         return SimTrace(
             pair_index=self.pair_index,
-            protocol=self.config.protocol,
+            protocol=protocol,
             drift=self.drift,
             period=self.period,
-            sender_channel=tx.astype(np.int16),
+            sender_channel=tx,
             receiver_channel=rx,
-            pu_blocked=tx_busy | busy[slots, alias[rx]],
+            pu_blocked=tx_busy | busy[cells + rx_phys],
             delivered=delivered,
-            first_delivery=int(delivered.argmax()) if delivered.any() else None,
+            first_delivery=first if delivered[first] else None,
             committed_offset=committed,
             missync=missync,
         )
+
+    def _play_sass(self, tables: dict, target: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The SASS receiver's channels and physical channels over the trace: a
+        slice per `frame()`, whose deliveries go back through `step`."""
+        receiver, period, pre, horizon = self.receiver, self.period, self._rx_base, len(target)
+        for start in range(0, pre, period):  # the pre-roll delivers nothing
+            receiver.step(min(period, pre - start))
+        pieces, done = [], 0
+        while done < horizon:
+            index, left = receiver.frame()
+            count = horizon - done if left is None else min(left, horizon - done)
+            pieces.append(slice(index, index + count))
+            if left is not None:
+                hits = tables["phys_base"][pieces[-1]] == target[done:done + count]
+                receiver.step(count, hits.nonzero()[0].tolist())
+            done += count
+        return tuple(np.concatenate([tables[name][piece] for piece in pieces])
+                     for name in ("base", "phys_base"))
 
 
 def run(config: SimConfig, pair_range: Sequence[int] | None = None) -> list[SimTrace]:
@@ -358,25 +397,28 @@ def realized_idle_mean(idle_mean: float) -> float:
     if idle_mean <= 0:
         return 1.0
     half = math.exp(-1.0 / (2.0 * idle_mean))
-    tail = 1.0 - math.exp(-1.0 / idle_mean)
-    # Past idle means of ~1e16 the tail rounds to 0; its first-order value is 1/idle_mean.
+    tail = -math.expm1(-1.0 / idle_mean)
+    # Only an infinite idle mean leaves no tail; its first-order value is 1/idle_mean.
     return half / tail + 1.0 - half if tail else half * idle_mean + 1.0 - half
 
 
 def solve_idle_mean(target: float) -> float:
-    """Idle-mean parameter whose realized (rounded, floored) mean hits target."""
+    """Idle-mean parameter whose realized (rounded, floored) mean hits target.
+
+    With x = exp(-1/(2m)) the realized mean is x/(1 - x^2) + 1 - x, so target T
+    is met where x^3 + (T-1)x^2 - (T-1) = 0.  In y = 1 - x that cubic,
+    f(y) = 1 - (2T+1)y + (T+2)y^2 - y^3, is convex and decreasing on [0, 1), so
+    Newton's method from y = 0 climbs to its root from below.
+    """
     if target <= 1.0:
         return 1e-9
-    lo, hi = 1e-9, max(4.0 * target, 8.0)
-    while realized_idle_mean(hi) < target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if realized_idle_mean(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    y = 0.0
+    while True:
+        f = 1.0 - (2.0 * target + 1.0) * y + (target + 2.0) * y * y - y**3
+        slope = 2.0 * target + 1.0 - 2.0 * (target + 2.0) * y + 3.0 * y * y  # -f'(y)
+        if not (y_next := y + f / slope) > y:
+            return -0.5 / math.log1p(-y)
+        y = y_next
 
 
 def pu_parameters(pu_percent: float, n_channels: int, busy_len: int = 400) -> tuple[int, float]:

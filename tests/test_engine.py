@@ -1,7 +1,7 @@
-"""The span engine against the per-slot reference, and what byte-identity rests on.
+"""The table engine against the per-slot reference, and what byte-identity rests on.
 
 `reference_trace` steps a pair's `make_pair` nodes one slot at a time with
-`SlotObservation`s, the way the benchmark tracer replays a pair; the span
+`SlotObservation`s, the way the benchmark tracer replays a pair; the table
 engine (`PairSimulation.run`) must produce the same trace from the same
 seeds, for every protocol, channel plan, drift sign and PU setting, and for
 horizons that end anywhere in a search or probe frame.
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skolemhop.protocol import (
+    PROTOCOLS,
     BroadcastSender,
     CssReceiver,
     RandomHopper,
@@ -20,8 +21,8 @@ from skolemhop.protocol import (
     SassReceiver,
     SlotObservation,
 )
-from skolemhop.simenv import PairSimulation, SimConfig
-from skolemhop.skolem import ess_for_channel_count
+from skolemhop.simenv import PairSimulation, SimConfig, sequence_tables
+from skolemhop.skolem import ess_for_channel_count, make_channel_plan
 
 
 def reference_trace(config, pair_index):
@@ -78,22 +79,36 @@ def assert_engine_matches_reference(config, pair_index=0):
     assert receiver_state(got_rx) == receiver_state(want_rx)
 
 
-configs = st.builds(
-    SimConfig,
-    n_channels=st.integers(4, 15),
-    protocol=st.sampled_from(["sass", "rch", "css"]),
-    plan_mode=st.sampled_from(["padding", "downsizing"]),
-    pu_channels=st.integers(0, 4),
-    busy_len=st.integers(1, 40),
-    idle_mean=st.floats(0.5, 12.0),
-    drift=st.one_of(st.none(), st.integers(0, 200), st.integers(-120, -1)),
-    horizon=st.integers(1, 400),
-    seed=st.integers(0, 2**31),
-)
+@st.composite
+def configs(draw):
+    n_channels = draw(st.integers(4, 15))
+    plan_mode = draw(st.sampled_from(["padding", "downsizing"]))
+    period = 2 * make_channel_plan(n_channels, plan_mode).effective_count
+    # The reference idles through a negative drift slot by slot, so those
+    # stay within a few P^2; horizons past P^2 (where the CSS schedule
+    # repeats) only for N' <= 13, for the same reason.
+    drift = draw(st.one_of(
+        st.none(), st.integers(0, 200), st.integers(0, 10**6),
+        st.integers(-120, -1), st.integers(-3 * period**2, -period**2),
+    ))
+    horizons = st.integers(1, 400)
+    if period <= 26:
+        horizons |= st.integers(period**2, period**2 + 2 * period)
+    return SimConfig(
+        n_channels=n_channels,
+        protocol=draw(st.sampled_from(["sass", "rch", "css"])),
+        plan_mode=plan_mode,
+        pu_channels=draw(st.integers(0, 4)),
+        busy_len=draw(st.integers(1, 40)),
+        idle_mean=draw(st.floats(0.5, 12.0)),
+        drift=drift,
+        horizon=draw(horizons),
+        seed=draw(st.integers(0, 2**31)),
+    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(config=configs, pair_index=st.integers(0, 3))
+@given(config=configs(), pair_index=st.integers(0, 3))
 def test_engine_matches_per_slot_reference(config, pair_index):
     assert_engine_matches_reference(config, pair_index)
 
@@ -110,29 +125,58 @@ def test_every_end_slot_of_search_and_probe_frames(drift, pu_channels):
         assert_engine_matches_reference(config)
 
 
-class TestSpans:
-    def test_sass_span_ends_at_frame_until_synced(self):
+class TestTableViews:
+    def test_sass_frames_end_at_frame_until_synced(self):
         ess = ess_for_channel_count(4)
         rx = SassReceiver(ess)
-        assert rx.span(0) == 8
-        rx.observe_block(0, np.zeros(3, dtype=bool))
-        assert rx.span(3) == 5
+        assert rx.frame() == (0, 8)
+        rx.step(3)
+        assert rx.frame() == (3, 5)
         with pytest.raises(ValueError):
-            rx.channels(3, 6)  # crosses the frame boundary
+            rx.step(6)  # crosses the frame boundary
         with pytest.raises(ValueError):
-            rx.channels(2, 1)  # not the next slot
-        rx.observe_block(3, np.ones(5, dtype=bool))
+            rx.next_channel(2)  # not the next slot
+        rx.step(5, range(5))
         assert rx.phase is ReceiverPhase.SYNCED
-        assert rx.span(8) is None
-        assert rx.channels(8, 50).tolist() == [ess.values[t % 8] for t in range(50)]
+        index, left = rx.frame()
+        assert left is None
+        base = sequence_tables(make_channel_plan(4), 50)["base"]
+        assert base[index:index + 50].tolist() == [ess.values[t % 8] for t in range(50)]
 
-    @given(local_slot=st.integers(0, 10_000), count=st.integers(0, 100),
+    @given(local_slot=st.integers(0, 10**6), count=st.integers(0, 100),
            protocol=st.sampled_from(["sender", "css"]))
-    def test_fixed_channels_match_next_channel(self, local_slot, count, protocol):
+    def test_fixed_views_match_next_channel(self, local_slot, count, protocol):
+        plan = make_channel_plan(9)
+        tables = sequence_tables(plan, 100)
         ess = ess_for_channel_count(9)
         node = (BroadcastSender if protocol == "sender" else CssReceiver)(ess)
         want = [node.next_channel(local_slot + t) for t in range(count)]
-        assert node.channels(local_slot, count).tolist() == want
+        period = ess.period
+        if protocol == "sender":
+            start, table = local_slot % period, tables["base"]
+        else:
+            start, table = local_slot % period**2, tables["css"]
+        assert table[start:start + count].tolist() == want
+        phys = tables["phys_base" if protocol == "sender" else "phys_css"]
+        assert phys[start:start + count].tolist() == [plan.alias[c] for c in want]
+
+    def test_tables_are_read_only(self):
+        for mode in ("padding", "downsizing"):
+            for table in sequence_tables(make_channel_plan(10, mode), 300).values():
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 1
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_trace_shares_no_writeable_memory_with_tables(self, protocol):
+        for drift in (None, -37, 5000):
+            config = SimConfig(n_channels=10, protocol=protocol, pu_channels=3, busy_len=20,
+                               idle_mean=5.0, drift=drift, horizon=300, seed=4)
+            tables = sequence_tables(config.plan, config.horizon).values()
+            trace = PairSimulation(config, 1).run()
+            for a in (trace.sender_channel, trace.receiver_channel, trace.pu_blocked,
+                      trace.delivered):
+                assert not any(a.flags.writeable and np.shares_memory(a, t) for t in tables)
 
 
 class TestByteIdentityPins:

@@ -30,6 +30,15 @@ def rho(trace, t: int) -> float:
     return int(delivered[:t].sum()) / t
 
 
+def avg_latency(trace, window: int) -> float | None:
+    """window / deliveries within it; None when no delivery occurred."""
+    delivered = np.asarray(getattr(trace, "delivered", trace), dtype=bool)
+    if not 1 <= window <= len(delivered):
+        raise ValueError(f"window must be within [1, {len(delivered)}], got {window}")
+    hits = int(delivered[:window].sum())
+    return window / hits if hits else None
+
+
 class TestRho:
     def test_all_delivered(self):
         t = fake_trace([True] * 20)
@@ -85,6 +94,17 @@ class TestRhoSeries:
         assert series.mean == (0.5, 0.5)
         assert series.final() == 0.5
 
+    def test_series_equals_float_cumsum(self):
+        # The integer cumsum gives the bytes the float64 one gave.
+        rng = np.random.default_rng(3)
+        traces = [fake_trace(rng.random(1000) < p) for p in rng.random(200)]
+        series = metrics.rho_series(traces)
+        cum = np.stack([t.delivered for t in traces]).astype(np.float64).cumsum(axis=1)
+        idx = np.asarray(series.points)
+        per_pair = cum[:, idx - 1] / idx
+        assert series.mean == tuple(per_pair.mean(axis=0).tolist())
+        assert series.stddev == tuple(per_pair.std(axis=0).tolist())
+
     def test_permutation_invariant(self):
         a = [fake_trace([True, False] * 5), fake_trace([False] * 10),
              fake_trace([True] * 10)]
@@ -97,15 +117,15 @@ class TestLatency:
     def test_every_slot_delivers(self):
         t = fake_trace([True] * 200)
         for w in (50, 100, 150, 200):
-            assert metrics.avg_latency(t, w) == 1.0
+            assert avg_latency(t, w) == 1.0
 
     def test_two_deliveries_in_fifty(self):
         delivered = [False] * 50
         delivered[10] = delivered[20] = True
-        assert metrics.avg_latency(fake_trace(delivered), 50) == 25.0
+        assert avg_latency(fake_trace(delivered), 50) == 25.0
 
     def test_zero_deliveries_undefined(self):
-        assert metrics.avg_latency(fake_trace([False] * 50), 50) is None
+        assert avg_latency(fake_trace([False] * 50), 50) is None
 
     def test_identity_latency_times_hits(self):
         rng = np.random.default_rng(5)
@@ -113,7 +133,7 @@ class TestLatency:
         t = fake_trace(delivered)
         for w in (50, 100, 150, 200):
             hits = int(delivered[:w].sum())
-            value = metrics.avg_latency(t, w)
+            value = avg_latency(t, w)
             if hits:
                 assert value * hits == pytest.approx(w)
 
@@ -129,6 +149,20 @@ class TestLatency:
         assert report.first_mean == 1.0
         assert report.first_max == 1
         assert report.undelivered == 1
+
+    @pytest.mark.parametrize("horizon", [120, 200, 1000])
+    def test_report_equals_per_pair_oracle(self, horizon):
+        # The report's cumsum reduction gives the same floats as averaging
+        # avg_latency over the pairs that delivered, in pair order.
+        rng = np.random.default_rng(horizon)
+        traces = [fake_trace(rng.random(horizon) < p) for p in rng.random(300) * 0.05]
+        report = metrics.latency_report(traces)
+        for w in metrics.LATENCY_WINDOWS:
+            if w > horizon:
+                assert w not in report.windows
+                continue
+            defined = [v for v in (avg_latency(t, w) for t in traces) if v is not None]
+            assert report.windows[w] == (sum(defined) / len(defined), len(traces) - len(defined))
 
     def test_windows_clipped_to_horizon(self):
         report = metrics.latency_report([fake_trace([True] * 120)])

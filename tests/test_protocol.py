@@ -15,6 +15,7 @@ from skolemhop.protocol import (
     SlotObservation,
     make_pair,
 )
+from skolemhop.simenv import sequence_tables
 from skolemhop.skolem import EssSequence, ess_for_channel_count, make_channel_plan
 
 MU = EssSequence(order=3, values=(0, 0, 3, 1, 2, 1, 3, 2))
@@ -25,6 +26,13 @@ def feed(receiver, slot, delivered):
     channel = receiver.next_channel(slot)
     receiver.observe(SlotObservation(delivered, channel))
     return channel
+
+
+def frame_channels(receiver):
+    """The rest of the receiver's frame, as the slice `frame()` names of the
+    base sequence tiled twice."""
+    index, left = receiver.frame()
+    return (receiver.ess.values * 2)[index:index + left]
 
 
 def drive_frames(receiver, start_slot, delivered_slots_by_frame):
@@ -114,12 +122,12 @@ class TestCaseTwo:
         # the delivery count 4 to 2, committing to the half-period shift.
         rx = SassReceiver(MU)
         slot = drive_frames(rx, 0, {f: set() for f in range(4)})
-        assert tuple(rx.channels(slot, 8)) == (2, 1, 3, 2, 0, 0, 3, 1)
+        assert frame_channels(rx) == (2, 1, 3, 2, 0, 0, 3, 1)
         slot = drive_frames(rx, slot, {4: {2, 6}})
         assert rx.case == 2
         assert rx.phase is ReceiverPhase.PROBING_CASE2
         assert rx.first_delivery == (4, 2, 3)
-        assert tuple(rx.channels(slot, 8)) == MU.values
+        assert frame_channels(rx) == MU.values
         slot = drive_frames(rx, slot, {5: {0, 1, 2, 6}})
         assert rx.sb[4] == 2 and rx.sb[5] == 4
         assert rx.phase is ReceiverPhase.SYNCED
@@ -143,15 +151,15 @@ class TestCaseThree:
         # channel-1 slot, so both one-sided probes run and the first wins 4-0.
         rx = SassReceiver(MU)
         slot = drive_frames(rx, 0, {f: set() for f in range(6)})
-        assert tuple(rx.channels(slot, 8)) == (3, 2, 0, 0, 3, 1, 2, 1)
+        assert frame_channels(rx) == (3, 2, 0, 0, 3, 1, 2, 1)
         slot = drive_frames(rx, slot, {6: {5}})
         assert rx.case == 3
         assert rx.phase is ReceiverPhase.PROBING_CASE3_A
         assert rx.first_delivery == (6, 5, 1)
-        assert tuple(rx.channels(slot, 8)) == MU.values  # shift(u_j, alpha+1)
+        assert frame_channels(rx) == MU.values  # shift(u_j, alpha+1)
         slot = drive_frames(rx, slot, {7: {0, 1, 3, 5}})
         assert rx.phase is ReceiverPhase.PROBING_CASE3_B
-        assert tuple(rx.channels(slot, 8)) == (2, 1, 3, 2, 0, 0, 3, 1)  # shift(u_j, -(alpha+1))
+        assert frame_channels(rx) == (2, 1, 3, 2, 0, 0, 3, 1)  # shift(u_j, -(alpha+1))
         slot = drive_frames(rx, slot, {8: set()})
         assert rx.sb[7] == 4 and rx.sb.get(8, 0) == 0
         assert rx.phase is ReceiverPhase.SYNCED
@@ -171,11 +179,14 @@ class TestCaseThree:
             slot += 1
         assert rx.case == 3 and rx.first_delivery is not None
         for frame in (1, 2):
-            probe = rx.channels(slot, 8)
+            probe = frame_channels(rx)
+            played = []
             for t in range(8):
                 ch = rx.next_channel(slot)
                 rx.observe(SlotObservation(ch == sender_seq[t], ch))
+                played.append(ch)
                 slot += 1
+            assert tuple(played) == probe
         assert rx.phase is ReceiverPhase.SYNCED
         assert rx.committed_offset == 6
         assert shift(MU, rx.committed_offset) == sender_seq
@@ -307,28 +318,51 @@ def synced_sass(ess, drift):
 
 
 class TestBlockLookups:
-    """`channels(s, k)` is the k per-slot channels from local slot s, far
-    from the origin and across frame boundaries."""
+    """A node's block of k channels from local slot s is one slice of the
+    cached tables, far from the origin and across frame boundaries; the SASS
+    receiver's is one per frame until it commits, then one slice."""
 
     @pytest.mark.parametrize("physical", [3, 10, 13])  # padded to N' = 4, 12, 13
     @pytest.mark.parametrize("start", ["0", "P-1", 100_007, 1_000_000])
-    @pytest.mark.parametrize("kind", ["sender", "css", "sass"])
+    @pytest.mark.parametrize("kind", ["sender", "css", "sass", "searching"])
     def test_channels_match_next_channel(self, physical, start, kind):
-        ess = ess_for_channel_count(make_channel_plan(physical, "padding").effective_count)
+        plan = make_channel_plan(physical, "padding")
+        ess = ess_for_channel_count(plan.effective_count)
         period = ess.period
         s = {"0": 0, "P-1": period - 1}.get(start, start)
         counts = (1, period - 1, period, period + 1, 3 * period + 5)
-        if kind != "sass":
+        tables = sequence_tables(plan, max(counts))
+        if kind in ("sender", "css"):
             node = (BroadcastSender if kind == "sender" else CssReceiver)(ess)
+            table, at = (tables["base"], s % period) if kind == "sender" else (
+                tables["css"], s % period**2)
             for k in counts:
                 want = [node.next_channel(t) for t in range(s, s + k)]
-                assert node.channels(s, k).tolist() == want
+                assert table[at:at + k].tolist() == want
+            return
+        if kind == "searching":
+            rx = SassReceiver(ess)
+            for frame_start in range(0, s, period):  # idle to slot s, as a pre-roll does
+                rx.step(min(period, s - frame_start))
+            for k in counts:
+                walker, views, left_over = copy.deepcopy(rx), [], k
+                while left_over:
+                    index, left = walker.frame()
+                    n = min(left, left_over)
+                    views.extend(tables["base"][index:index + n].tolist())
+                    walker.step(n)
+                    left_over -= n
+                walker = copy.deepcopy(rx)
+                want = [feed(walker, t, False) for t in range(s, s + k)]
+                assert views == want
             return
         for drift in range(period):
             rx, synced_at = synced_sass(ess, drift)
             at = s if s >= synced_at else synced_at + s
-            rx.observe_block(synced_at, np.zeros(at - synced_at, dtype=bool))
+            rx.step(at - synced_at)
+            index, left = rx.frame()
+            assert left is None
             for k in counts:
                 walker = copy.deepcopy(rx)
                 want = [feed(walker, t, False) for t in range(at, at + k)]
-                assert rx.channels(at, k).tolist() == want
+                assert tables["base"][index:index + k].tolist() == want

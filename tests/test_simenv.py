@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skolemhop import simenv
 from skolemhop.simenv import (
     RECORD_BLOCK,
     PairSimulation,
@@ -157,6 +158,16 @@ class TestPuTraffic:
         assert len(pu.occupied) == 4
         assert all(0 <= c < 10 for c in pu.occupied)
 
+    def test_pu_free_pair_builds_no_pu_stream(self, monkeypatch):
+        # Nothing else reads stream 1, so skipping it keeps every byte.
+        built = []
+        real = simenv.pair_stream
+        monkeypatch.setattr(simenv, "pair_stream", lambda *a: built.append(a[2]) or real(*a))
+        sim = PairSimulation(SimConfig(n_channels=12, protocol="sass", horizon=50), 0)
+        assert built == [0] and sim.pu.occupied == ()
+        assert not np.asarray(sim.pu.rows).any()
+        assert PuTraffic.sample(12, 0, 400, 1.0, None, 50).occupied == ()
+
 
 def reference_pu_rows(n_channels, occupied, busy_len, idle_mean, rng, horizon):
     """[slot, channel] occupancy from the per-column scalar builder, draw for draw."""
@@ -259,6 +270,12 @@ class TestPuParameters:
             l = solve_idle_mean(target)
             assert abs(realized_idle_mean(l) - target) < 1e-6
 
+    @given(target=st.one_of(st.floats(1.0, 1e15), st.floats(1.0, 2.0)))
+    @example(target=1e15)
+    @example(target=1.0 + 2**-52)
+    def test_solver_round_trips(self, target):
+        assert abs(realized_idle_mean(solve_idle_mean(target)) - target) <= 1e-12 * target
+
     def test_closed_form_matches_simulation(self):
         rng = np.random.Generator(np.random.PCG64(3))
         l = 2.5
@@ -282,7 +299,7 @@ class TestPuParameters:
 
     @pytest.mark.parametrize("idle", [2e16, 1e17, float("inf")])
     def test_nominal_intensity_huge_idle_mean(self, idle):
-        # 1 - exp(-1/idle) rounds to 0 here; the intensity is still finite.
+        # 1 - exp(-1/idle) would round to 0 here; the intensity is still finite.
         got = nominal_intensity(2, 12, 400, idle)
         assert math.isfinite(got)
         assert 0.0 <= got < 1e-10
