@@ -10,7 +10,6 @@ from .hopping import (
     ALL_CHANNELS,
     canonical_drift,
     delivery_channels,
-    delivery_slots,
     drift_channel_table,
     shift,
 )
@@ -25,7 +24,6 @@ from .protocol import (
     BroadcastSender,
     CssReceiver,
     RandomHopper,
-    ReceiverPhase,
     SassReceiver,
     SlotObservation,
     make_pair,

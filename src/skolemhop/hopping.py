@@ -21,7 +21,6 @@ __all__ = [
     "ALL_CHANNELS",
     "shift",
     "delivery_channels",
-    "delivery_slots",
     "canonical_drift",
     "drift_channel_table",
     "check_channel_map",
@@ -48,13 +47,6 @@ def delivery_channels(u: Sequence[int], v: Sequence[int]) -> frozenset[int]:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
     return frozenset(a for a, b in zip(u, v) if a == b)
-
-
-def delivery_slots(u: Sequence[int], v: Sequence[int]) -> frozenset[int]:
-    """Slot indices at which the two equal-length sequences coincide."""
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return frozenset(t for t, (a, b) in enumerate(zip(u, v)) if a == b)
 
 
 def canonical_drift(g_raw: int, period: int) -> int:

@@ -85,9 +85,7 @@ class LatencyReport:
     count of pairs with no delivery in the window).
     """
 
-    pairs: int
     first_mean: float | None
-    first_max: int | None
     undelivered: int
     windows: dict[int, tuple[float | None, int]]
 
@@ -106,9 +104,7 @@ def latency_report(traces: Sequence) -> LatencyReport:
             mean = sum(w / c for c in counts) / len(counts) if counts else None
             report_windows[w] = (mean, len(traces) - len(counts))
     return LatencyReport(
-        pairs=len(traces),
         first_mean=sum(hit) / len(hit) if hit else None,
-        first_max=max(hit) if hit else None,
         undelivered=len(traces) - len(hit),
         windows=report_windows,
     )

@@ -16,7 +16,6 @@ search with the calibration permanently disabled.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,6 @@ from .skolem import EssSequence
 
 __all__ = [
     "SlotObservation",
-    "ReceiverPhase",
     "BroadcastSender",
     "SassReceiver",
     "CssReceiver",
@@ -46,14 +44,6 @@ class SlotObservation:
     channel: int
 
 
-class ReceiverPhase(enum.Enum):
-    SEARCHING = "searching"
-    PROBING_CASE2 = "probing-case2"
-    PROBING_CASE3_A = "probing-case3-a"
-    PROBING_CASE3_B = "probing-case3-b"
-    SYNCED = "synced"
-
-
 class _FixedNode:
     """A node whose channels never depend on what it observes."""
 
@@ -66,8 +56,6 @@ class _FixedNode:
 class BroadcastSender(_FixedNode):
     """Plays the base sequence every frame, forever."""
 
-    committed_offset = 0
-
     def __init__(self, ess: EssSequence):
         self._values = ess.values
         self._period = ess.period
@@ -79,18 +67,21 @@ class BroadcastSender(_FixedNode):
 class SassReceiver:
     """Self-adaptive receiver: rotating search, then offset calibration.
 
-    Searching plays shift(mu, n) in frame n.  The first delivery (channel
-    alpha, frame f0) fixes the candidate set; the end-of-frame dispatch is:
+    Searching plays shift(mu, n) in frame n.  The first delivery (frame f0,
+    channel alpha) settles at the end of f0 which case holds:
 
-    * alpha = N'-1: the sender is f0 or f0+N' away -- probe shift by N' one
-      frame and keep whichever frame saw more deliveries (case 2);
-    * delivery also seen at the other in-frame slot carrying alpha: offsets
-      agree, commit f0 (case 1);
-    * otherwise the sender is alpha+1 away in one direction or the other --
-      probe both for a frame each and keep the better (case 3).
+    * alpha = N'-1: the sender is f0 or f0+N' away (case 2);
+    * delivery also seen at tau2, the other in-frame slot carrying alpha:
+      offsets agree, commit f0 at once (case 1);
+    * otherwise the sender is alpha+1 away in one direction or the other
+      (case 3).
 
-    The committed offset is frozen permanently; there is no re-calibration.
-    `sb` counts deliveries per frame up to the commit.
+    Cases 2 and 3 hold two candidate offsets, each with the frame whose
+    deliveries vouch for it (`_candidates`); each frame after f0 plays its
+    candidate, and the end of the last one commits the candidate with more
+    deliveries, the first on a tie.  The committed offset is frozen
+    permanently; there is no re-calibration.  `sb` counts deliveries per
+    frame up to the commit.
     """
 
     def __init__(self, ess: EssSequence):
@@ -98,36 +89,35 @@ class SassReceiver:
         self._values = ess.values
         self._period = ess.period
         self._n_eff = ess.n_effective
-        self.phase = ReceiverPhase.SEARCHING
-        self.committed_offset: int | None = None
-        self.case: int | None = None
-        self.sb: dict[int, int] = {}
         self.first_delivery: tuple[int, int, int] | None = None  # (frame, slot, channel)
-        self._slot = 0
-        self._f0 = 0
-        self._alpha = 0
-        self._tau2 = 0
+        self.case: int | None = None
+        self.committed_offset: int | None = None
+        self.sb: dict[int, int] = {}
         self._tau2_delivered = False
+        self._slot = 0
         self._pending_channel: int | None = None
 
+    def _candidates(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Case 2 or 3's (offset, vouching frame) pairs, the tie winner first."""
+        f0, _, alpha = self.first_delivery
+        if self.case == 2:
+            return (f0, f0), (f0 + self._n_eff, f0 + 1)
+        return (f0 + alpha + 1, f0 + 1), (f0 - alpha - 1, f0 + 2)
+
     def _offset(self) -> int:
-        if self.phase is ReceiverPhase.SEARCHING:
-            return self._slot // self._period
-        if self.phase is ReceiverPhase.PROBING_CASE2:
-            return self._f0 + self._n_eff
-        if self.phase is ReceiverPhase.PROBING_CASE3_A:
-            return self._f0 + self._alpha + 1
-        if self.phase is ReceiverPhase.PROBING_CASE3_B:
-            return self._f0 - (self._alpha + 1)
-        assert self.committed_offset is not None
-        return self.committed_offset
+        if self.committed_offset is not None:
+            return self.committed_offset
+        frame = self._slot // self._period
+        if self.case is None:
+            return frame
+        return next(offset for offset, vouch in self._candidates() if vouch == frame)
 
     def frame(self) -> tuple[int, int | None]:
         """(index, left): the next slot plays values[index], and the slots after it
         play on through the base sequence, wrapping at P, for `left` slots in all
         -- to the end of the frame; None once synced, when that never ends."""
         index = (self._slot + self._offset()) % self._period
-        if self.phase is ReceiverPhase.SYNCED:
+        if self.committed_offset is not None:
             return index, None
         return index, self._period - self._slot % self._period
 
@@ -149,66 +139,51 @@ class SassReceiver:
         self.step(1, [0] if obs.delivered else [])
 
     def step(self, count: int, hits: Sequence[int] = ()) -> None:
-        """The one decision path: consume the next `count` slots, all in one frame
-        until synced, with deliveries on the `hits`-th of them."""
+        """The one decision path: consume the next `count` slots, with deliveries
+        on the `hits`-th of them.  Until synced they stay in one frame, unless no
+        delivery has been seen yet and these bring none: such slots only advance
+        the clock, so a pre-roll of any length is one step."""
         frame, in_frame = divmod(self._slot, self._period)
-        if count > self._period - in_frame and self.phase is not ReceiverPhase.SYNCED:
+        idle = self.first_delivery is None and not hits
+        if count > self._period - in_frame and self.committed_offset is None and not idle:
             raise ValueError(f"{count} slots from {self._slot} cross a frame boundary")
         self._slot += count
-        if self.phase is ReceiverPhase.SYNCED:
+        if self.committed_offset is not None or idle:
             return
         if hits:
             hits = [in_frame + k for k in hits]
             self.sb[frame] = self.sb.get(frame, 0) + len(hits)
-            if self.phase is ReceiverPhase.SEARCHING:
+            if self.case is None:
                 if self.first_delivery is None:
-                    self._record_first(frame, hits[0])
-                if self._tau2 in hits:
-                    self._tau2_delivered = True
+                    channel = self._values[(hits[0] + frame) % self._period]
+                    self.first_delivery = (frame, hits[0], channel)
+                self._tau2_delivered |= self._tau2() in hits
         if self._slot % self._period == 0:
-            self._end_of_frame()
+            self._end_of_frame(frame)
 
-    def _record_first(self, frame: int, slot_in_frame: int) -> None:
-        period = self._period
-        channel = self._values[(slot_in_frame + frame) % period]
-        self.first_delivery = (frame, slot_in_frame, channel)
-        self._f0 = frame
-        self._alpha = channel
-        # The other in-frame slot carrying alpha in this frame's sequence.
-        self._tau2 = next(
-            t for t in range(period)
-            if t != slot_in_frame and self._values[(t + frame) % period] == channel
-        )
-        self._tau2_delivered = False
+    def _tau2(self) -> int:
+        """The other in-frame slot of frame f0 that carries alpha: the two copies
+        of value k sit k+1 apart in the base sequence."""
+        f0, slot, alpha = self.first_delivery
+        twin = (slot + alpha + 1) % self._period
+        if self._values[(twin + f0) % self._period] != alpha:
+            twin = (slot - alpha - 1) % self._period
+        return twin
 
-    def _end_of_frame(self) -> None:
-        f0 = self._f0
-        if self.phase is ReceiverPhase.SEARCHING and self.first_delivery is not None:
-            if self._alpha == self._n_eff - 1:
-                self.phase = ReceiverPhase.PROBING_CASE2
-                self.case = 2
-            elif self._tau2_delivered:
+    def _end_of_frame(self, frame: int) -> None:
+        f0, _, alpha = self.first_delivery
+        if self.case is None:
+            self.case = 2 if alpha == self._n_eff - 1 else 1 if self._tau2_delivered else 3
+            if self.case == 1:
                 self._commit(f0)
-                self.case = 1
-            else:
-                self.phase = ReceiverPhase.PROBING_CASE3_A
-                self.case = 3
-        elif self.phase is ReceiverPhase.PROBING_CASE2:
-            if self.sb.get(f0, 0) >= self.sb.get(f0 + 1, 0):
-                self._commit(f0)
-            else:
-                self._commit(f0 + self._n_eff)
-        elif self.phase is ReceiverPhase.PROBING_CASE3_A:
-            self.phase = ReceiverPhase.PROBING_CASE3_B
-        elif self.phase is ReceiverPhase.PROBING_CASE3_B:
-            if self.sb.get(f0 + 1, 0) >= self.sb.get(f0 + 2, 0):
-                self._commit(f0 + self._alpha + 1)
-            else:
-                self._commit(f0 - (self._alpha + 1))
+            return
+        (first, first_frame), (second, second_frame) = self._candidates()
+        if frame == second_frame:
+            sb = self.sb.get
+            self._commit(first if sb(first_frame, 0) >= sb(second_frame, 0) else second)
 
     def _commit(self, offset: int) -> None:
         self.committed_offset = offset % self._period
-        self.phase = ReceiverPhase.SYNCED
 
 
 class CssReceiver(_FixedNode):

@@ -310,8 +310,7 @@ class PairSimulation:
         delivered = rx_phys == target
         first = int(delivered.argmax())
         committed = self.receiver.committed_offset
-        synced = protocol == "sass" and committed is not None
-        missync = (committed - self.drift) % period != 0 if synced else None
+        missync = (committed - self.drift) % period != 0 if committed is not None else None
         return SimTrace(
             pair_index=self.pair_index,
             protocol=protocol,
@@ -329,9 +328,8 @@ class PairSimulation:
     def _play_sass(self, tables: dict, target: np.ndarray) -> tuple[np.ndarray, ...]:
         """The SASS receiver's channels and physical channels over the trace: a
         slice per `frame()`, whose deliveries go back through `step`."""
-        receiver, period, pre, horizon = self.receiver, self.period, self._rx_base, len(target)
-        for start in range(0, pre, period):  # the pre-roll delivers nothing
-            receiver.step(min(period, pre - start))
+        receiver, horizon = self.receiver, len(target)
+        receiver.step(self._rx_base)  # the pre-roll delivers nothing: one step
         pieces, done = [], 0
         while done < horizon:
             index, left = receiver.frame()

@@ -7,6 +7,8 @@ seeds, for every protocol, channel plan, drift sign and PU setting, and for
 horizons that end anywhere in a search or probe frame.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from skolemhop.protocol import (
     BroadcastSender,
     CssReceiver,
     RandomHopper,
-    ReceiverPhase,
     SassReceiver,
     SlotObservation,
 )
@@ -66,7 +67,7 @@ def engine_trace(config, pair_index):
 def receiver_state(receiver):
     if not isinstance(receiver, SassReceiver):
         return None
-    return (receiver.phase, receiver.case, receiver.first_delivery, receiver.sb)
+    return (receiver.committed_offset, receiver.case, receiver.first_delivery, receiver.sb)
 
 
 def assert_engine_matches_reference(config, pair_index=0):
@@ -133,11 +134,11 @@ class TestTableViews:
         rx.step(3)
         assert rx.frame() == (3, 5)
         with pytest.raises(ValueError):
-            rx.step(6)  # crosses the frame boundary
+            rx.step(6, [5])  # crosses the frame boundary with a delivery
         with pytest.raises(ValueError):
             rx.next_channel(2)  # not the next slot
         rx.step(5, range(5))
-        assert rx.phase is ReceiverPhase.SYNCED
+        assert rx.case == 1 and rx.committed_offset == 0
         index, left = rx.frame()
         assert left is None
         base = sequence_tables(make_channel_plan(4), 50)["base"]
@@ -179,6 +180,40 @@ class TestTableViews:
                 assert not any(a.flags.writeable and np.shares_memory(a, t) for t in tables)
 
 
+class TestNegativeDrift:
+    """A receiver ahead of the sender idles through |d| slots before the trace:
+    one `step`, whatever the drift."""
+
+    def test_idle_steps_cross_frames_until_a_delivery(self):
+        rx = SassReceiver(ess_for_channel_count(4))
+        rx.step(8 * 10**6 + 3)
+        assert rx.frame() == ((3 + 10**6) % 8, 5)
+        rx.step(5, [4])
+        assert rx.case == 3 and rx.committed_offset is None
+        with pytest.raises(ValueError):
+            rx.step(9)  # a delivery has been seen: frames go one at a time
+
+    def test_pair_steps_once_per_frame(self):
+        config = SimConfig(n_channels=12, protocol="sass", pu_channels=6, busy_len=400,
+                           idle_mean=400.0, drift=-10**6, horizon=1000, seed=3)
+        for pair_index in range(20):
+            sim = PairSimulation(config, pair_index)
+            calls, step = [], sim.receiver.step
+            sim.receiver.step = lambda *args: (calls.append(args), step(*args))
+            sim.run()
+            assert len(calls) <= -(-config.horizon // sim.period) + 4
+
+    @pytest.mark.parametrize("protocol", ["sass", "css"])
+    @pytest.mark.parametrize("n_channels", [4, 10, 12, 13])
+    def test_drift_matters_modulo_p_squared(self, protocol, n_channels):
+        period = 2 * make_channel_plan(n_channels).effective_count
+        far = SimConfig(n_channels=n_channels, protocol=protocol, pu_channels=2, busy_len=30,
+                        idle_mean=20.0, drift=-10**9, horizon=600, seed=8)
+        near = dataclasses.replace(far, drift=-(10**9 % period**2) - period**2)
+        for pair_index in range(4):
+            assert engine_trace(far, pair_index)[0] == engine_trace(near, pair_index)[0]
+
+
 class TestByteIdentityPins:
     @pytest.mark.parametrize("seed", [0, 1, 7, 20260801, 2**63 + 5])
     def test_direct_streams_equal_spawned_children(self, seed):
@@ -212,5 +247,5 @@ class TestByteIdentityPins:
                                horizon=20_000, seed=5)
             simulate = reference_trace if per_slot else engine_trace
             _, rx = simulate(config, 0)
-            assert rx.phase is ReceiverPhase.SYNCED
+            assert rx.committed_offset is not None
             assert max(rx.sb) <= rx.first_delivery[0] + last_frame[rx.case]

@@ -14,7 +14,6 @@ from skolemhop.hopping import (
     check_channel_map,
     check_slot_counts,
     delivery_channels,
-    delivery_slots,
     drift_channel_table,
     shift,
 )
@@ -22,6 +21,13 @@ from skolemhop.skolem import EssSequence, ess_for_channel_count
 
 ESS4 = EssSequence(order=3, values=(0, 0, 3, 1, 2, 1, 3, 2))
 ADMISSIBLE = [n for n in range(4, 65) if n % 4 in (0, 1)]
+
+
+def delivery_slots(u, v) -> frozenset[int]:
+    """Slot indices at which the two equal-length sequences coincide."""
+    if len(u) != len(v):
+        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
+    return frozenset(t for t, (a, b) in enumerate(zip(u, v)) if a == b)
 
 
 def predicted_delivery_channel(g: int) -> int | str:

@@ -1,21 +1,25 @@
 """Protocol state machines: search, the three calibration cases, baselines."""
 
 import copy
+import enum
+import random
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skolemhop.hopping import delivery_channels, shift
 from skolemhop.protocol import (
     BroadcastSender,
     CssReceiver,
     RandomHopper,
-    ReceiverPhase,
     SassReceiver,
     SlotObservation,
     make_pair,
 )
-from skolemhop.simenv import sequence_tables
+from skolemhop.simenv import PairSimulation, SimConfig, sequence_tables
 from skolemhop.skolem import EssSequence, ess_for_channel_count, make_channel_plan
 
 MU = EssSequence(order=3, values=(0, 0, 3, 1, 2, 1, 3, 2))
@@ -108,7 +112,6 @@ class TestCaseOne:
             delivered = MU.values[t] == ch and ch not in blocked
             rx.observe(SlotObservation(delivered, ch))
         assert rx.case == 1
-        assert rx.phase is ReceiverPhase.SYNCED
         assert rx.committed_offset == 0
         assert rx.first_delivery == (0, 3, 1)
         assert rx.sb[0] == 4
@@ -125,12 +128,11 @@ class TestCaseTwo:
         assert frame_channels(rx) == (2, 1, 3, 2, 0, 0, 3, 1)
         slot = drive_frames(rx, slot, {4: {2, 6}})
         assert rx.case == 2
-        assert rx.phase is ReceiverPhase.PROBING_CASE2
+        assert rx.committed_offset is None
         assert rx.first_delivery == (4, 2, 3)
         assert frame_channels(rx) == MU.values
         slot = drive_frames(rx, slot, {5: {0, 1, 2, 6}})
         assert rx.sb[4] == 2 and rx.sb[5] == 4
-        assert rx.phase is ReceiverPhase.SYNCED
         assert rx.committed_offset == 0
         assert [rx.next_channel(slot + t) for t in range(0)] == []
 
@@ -154,15 +156,14 @@ class TestCaseThree:
         assert frame_channels(rx) == (3, 2, 0, 0, 3, 1, 2, 1)
         slot = drive_frames(rx, slot, {6: {5}})
         assert rx.case == 3
-        assert rx.phase is ReceiverPhase.PROBING_CASE3_A
+        assert rx.committed_offset is None
         assert rx.first_delivery == (6, 5, 1)
         assert frame_channels(rx) == MU.values  # shift(u_j, alpha+1)
         slot = drive_frames(rx, slot, {7: {0, 1, 3, 5}})
-        assert rx.phase is ReceiverPhase.PROBING_CASE3_B
+        assert rx.case == 3 and rx.committed_offset is None
         assert frame_channels(rx) == (2, 1, 3, 2, 0, 0, 3, 1)  # shift(u_j, -(alpha+1))
         slot = drive_frames(rx, slot, {8: set()})
         assert rx.sb[7] == 4 and rx.sb.get(8, 0) == 0
-        assert rx.phase is ReceiverPhase.SYNCED
         assert rx.committed_offset == 0
 
     def test_other_direction_commits_negative(self):
@@ -187,7 +188,6 @@ class TestCaseThree:
                 played.append(ch)
                 slot += 1
             assert tuple(played) == probe
-        assert rx.phase is ReceiverPhase.SYNCED
         assert rx.committed_offset == 6
         assert shift(MU, rx.committed_offset) == sender_seq
         # PU-free discrimination: the matching candidate frame delivers on
@@ -310,7 +310,7 @@ def synced_sass(ess, drift):
     """A SassReceiver locked onto a PU-free sender `drift` slots ahead."""
     sender, rx = BroadcastSender(ess), SassReceiver(ess)
     slot = 0
-    while rx.phase is not ReceiverPhase.SYNCED:
+    while rx.committed_offset is None:
         channel = rx.next_channel(slot)
         rx.observe(SlotObservation(channel == sender.next_channel(slot + drift), channel))
         slot += 1
@@ -366,3 +366,210 @@ class TestBlockLookups:
                 walker = copy.deepcopy(rx)
                 want = [feed(walker, t, False) for t in range(at, at + k)]
                 assert tables["base"][index:index + k].tolist() == want
+
+
+# The receiver as it was written with a five-phase state (search, case 2's
+# probe, case 3's two probes, synced), kept verbatim as the oracle for the
+# candidate-table receiver.
+class ReceiverPhase(enum.Enum):
+    SEARCHING = "searching"
+    PROBING_CASE2 = "probing-case2"
+    PROBING_CASE3_A = "probing-case3-a"
+    PROBING_CASE3_B = "probing-case3-b"
+    SYNCED = "synced"
+
+
+class PhaseSassReceiver:
+    """Self-adaptive receiver: rotating search, then offset calibration.
+
+    Searching plays shift(mu, n) in frame n.  The first delivery (channel
+    alpha, frame f0) fixes the candidate set; the end-of-frame dispatch is:
+
+    * alpha = N'-1: the sender is f0 or f0+N' away -- probe shift by N' one
+      frame and keep whichever frame saw more deliveries (case 2);
+    * delivery also seen at the other in-frame slot carrying alpha: offsets
+      agree, commit f0 (case 1);
+    * otherwise the sender is alpha+1 away in one direction or the other --
+      probe both for a frame each and keep the better (case 3).
+
+    The committed offset is frozen permanently; there is no re-calibration.
+    `sb` counts deliveries per frame up to the commit.
+    """
+
+    def __init__(self, ess: EssSequence):
+        self.ess = ess
+        self._values = ess.values
+        self._period = ess.period
+        self._n_eff = ess.n_effective
+        self.phase = ReceiverPhase.SEARCHING
+        self.committed_offset: int | None = None
+        self.case: int | None = None
+        self.sb: dict[int, int] = {}
+        self.first_delivery: tuple[int, int, int] | None = None  # (frame, slot, channel)
+        self._slot = 0
+        self._f0 = 0
+        self._alpha = 0
+        self._tau2 = 0
+        self._tau2_delivered = False
+        self._pending_channel: int | None = None
+
+    def _offset(self) -> int:
+        if self.phase is ReceiverPhase.SEARCHING:
+            return self._slot // self._period
+        if self.phase is ReceiverPhase.PROBING_CASE2:
+            return self._f0 + self._n_eff
+        if self.phase is ReceiverPhase.PROBING_CASE3_A:
+            return self._f0 + self._alpha + 1
+        if self.phase is ReceiverPhase.PROBING_CASE3_B:
+            return self._f0 - (self._alpha + 1)
+        assert self.committed_offset is not None
+        return self.committed_offset
+
+    def frame(self) -> tuple[int, int | None]:
+        """(index, left): the next slot plays values[index], and the slots after it
+        play on through the base sequence, wrapping at P, for `left` slots in all
+        -- to the end of the frame; None once synced, when that never ends."""
+        index = (self._slot + self._offset()) % self._period
+        if self.phase is ReceiverPhase.SYNCED:
+            return index, None
+        return index, self._period - self._slot % self._period
+
+    def next_channel(self, local_slot: int) -> int:
+        if local_slot != self._slot:
+            raise ValueError(f"expected local slot {self._slot}, got {local_slot}")
+        self._pending_channel = self._values[self.frame()[0]]
+        return self._pending_channel
+
+    def observe(self, obs: SlotObservation) -> None:
+        if self._pending_channel is None:
+            raise ValueError("observe() before next_channel() for this slot")
+        if obs.delivered and obs.channel != self._pending_channel:
+            raise ValueError(
+                f"delivery on channel {obs.channel} but receiver tuned "
+                f"{self._pending_channel}"
+            )
+        self._pending_channel = None
+        self.step(1, [0] if obs.delivered else [])
+
+    def step(self, count: int, hits: Sequence[int] = ()) -> None:
+        """The one decision path: consume the next `count` slots, all in one frame
+        until synced, with deliveries on the `hits`-th of them."""
+        frame, in_frame = divmod(self._slot, self._period)
+        if count > self._period - in_frame and self.phase is not ReceiverPhase.SYNCED:
+            raise ValueError(f"{count} slots from {self._slot} cross a frame boundary")
+        self._slot += count
+        if self.phase is ReceiverPhase.SYNCED:
+            return
+        if hits:
+            hits = [in_frame + k for k in hits]
+            self.sb[frame] = self.sb.get(frame, 0) + len(hits)
+            if self.phase is ReceiverPhase.SEARCHING:
+                if self.first_delivery is None:
+                    self._record_first(frame, hits[0])
+                if self._tau2 in hits:
+                    self._tau2_delivered = True
+        if self._slot % self._period == 0:
+            self._end_of_frame()
+
+    def _record_first(self, frame: int, slot_in_frame: int) -> None:
+        period = self._period
+        channel = self._values[(slot_in_frame + frame) % period]
+        self.first_delivery = (frame, slot_in_frame, channel)
+        self._f0 = frame
+        self._alpha = channel
+        # The other in-frame slot carrying alpha in this frame's sequence.
+        self._tau2 = next(
+            t for t in range(period)
+            if t != slot_in_frame and self._values[(t + frame) % period] == channel
+        )
+        self._tau2_delivered = False
+
+    def _end_of_frame(self) -> None:
+        f0 = self._f0
+        if self.phase is ReceiverPhase.SEARCHING and self.first_delivery is not None:
+            if self._alpha == self._n_eff - 1:
+                self.phase = ReceiverPhase.PROBING_CASE2
+                self.case = 2
+            elif self._tau2_delivered:
+                self._commit(f0)
+                self.case = 1
+            else:
+                self.phase = ReceiverPhase.PROBING_CASE3_A
+                self.case = 3
+        elif self.phase is ReceiverPhase.PROBING_CASE2:
+            if self.sb.get(f0, 0) >= self.sb.get(f0 + 1, 0):
+                self._commit(f0)
+            else:
+                self._commit(f0 + self._n_eff)
+        elif self.phase is ReceiverPhase.PROBING_CASE3_A:
+            self.phase = ReceiverPhase.PROBING_CASE3_B
+        elif self.phase is ReceiverPhase.PROBING_CASE3_B:
+            if self.sb.get(f0 + 1, 0) >= self.sb.get(f0 + 2, 0):
+                self._commit(f0 + self._alpha + 1)
+            else:
+                self._commit(f0 - (self._alpha + 1))
+
+    def _commit(self, offset: int) -> None:
+        self.committed_offset = offset % self._period
+        self.phase = ReceiverPhase.SYNCED
+
+
+class TestAgainstPhaseOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(n_eff=st.sampled_from([4, 5, 8, 9, 12, 13]), seed=st.integers(0, 2**32 - 1),
+           rate=st.floats(0.0, 1.0), frames=st.integers(1, 7))
+    def test_slot_by_slot(self, n_eff, seed, rate, frames):
+        # Deliveries at random on the tuned channel: every case, probe outcome
+        # and tie, including 0-0 ties of empty probe frames.
+        ess = ess_for_channel_count(n_eff)
+        rx, oracle = SassReceiver(ess), PhaseSassReceiver(ess)
+        rng = random.Random(seed)
+        for slot in range(frames * ess.period):
+            assert rx.frame() == oracle.frame()
+            channel = rx.next_channel(slot)
+            assert channel == oracle.next_channel(slot)
+            obs = SlotObservation(rng.random() < rate, channel)
+            rx.observe(obs)
+            oracle.observe(obs)
+            assert (rx.committed_offset, rx.case, rx.first_delivery, rx.sb) == (
+                oracle.committed_offset, oracle.case, oracle.first_delivery, oracle.sb)
+
+
+def residues_out_of_sync(n_channels):
+    """Drift residues d in [0, P) at which a PU-free SASS pair on the padded plan
+    of `n_channels` misses one of: its first delivery in frame 0, a commit to
+    d mod P, and a delivery on every slot from frame f0 + 3."""
+    period = 2 * make_channel_plan(n_channels).effective_count
+    bad = []
+    for drift in range(period):
+        config = SimConfig(n_channels=n_channels, protocol="sass", drift=drift,
+                           horizon=5 * period)
+        trace = PairSimulation(config, 0).run()
+        first = trace.first_delivery  # f0 = 0 when this is within the first P slots
+        if (first is None or first >= period or trace.committed_offset != drift
+                or not trace.delivered[3 * period:].all()):
+            bad.append(drift)
+    return bad
+
+
+# Padded plans whose first delivery can land where the receiver plays an
+# effective channel and the sender its alias: alpha is misread and some
+# residues commit a wrong offset (ROADMAP item 4).  Bad residues per plan.
+PADDED_BAD_RESIDUES = {6: 9, 7: 5, 10: 7, 11: 5, 14: 11, 15: 5, 30: 14, 31: 5, 62: 14, 63: 5}
+
+
+class TestSyncEveryResidue:
+    """With no PU a pair's trace depends on the drift only through d mod P, so
+    P pairs cover every drift."""
+
+    @pytest.mark.parametrize("n_eff", [n for n in range(4, 65) if n % 4 in (0, 1)])
+    def test_exact_plans(self, n_eff):
+        assert residues_out_of_sync(n_eff) == []
+
+    @pytest.mark.parametrize("n_channels", [
+        pytest.param(n, marks=pytest.mark.xfail(
+            strict=True, reason=f"ROADMAP item 4: {bad} residues mis-sync on padding"))
+        for n, bad in PADDED_BAD_RESIDUES.items()
+    ])
+    def test_padded_plans(self, n_channels):
+        assert residues_out_of_sync(n_channels) == []
