@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -243,33 +244,60 @@ def _run_chunk(config: simenv.SimConfig, start: int, stop: int) -> list[simenv.S
     return simenv.run(config, pair_range=range(start, stop))
 
 
-class _ChunkPipeline:
-    """A process pool fed every variation's chunks in order, at most two per process in flight."""
+class _ForkPool:
+    """Forked children, one pipe each: child k runs chunks k, k + P, ... of every variation."""
 
     def __init__(self, configs: list[simenv.SimConfig], workers: int):
-        # Imported here: the pool module adds 15-25 ms to every start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Under fork, every process starts at the first submit: no more than can run.
+        chunks = [(c, s, min(s + CHUNK_PAIRS, c.pairs))
+                  for c in configs for s in range(0, c.pairs, CHUNK_PAIRS)]
         usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-        processes = min(workers, usable or os.cpu_count() or 1)
-        self.executor = ProcessPoolExecutor(max_workers=processes)
-        self.window = 2 * processes
-        self.chunks = ((c, s, min(s + CHUNK_PAIRS, c.pairs))
-                       for c in configs for s in range(0, c.pairs, CHUNK_PAIRS))
-        self.in_flight: list = []  # (config, future), in submission order
+        processes = min(workers, usable or os.cpu_count() or 1, len(chunks))
+        self.owed = [(c[0], k % processes) for k, c in enumerate(chunks)][::-1]  # popped in order
+        self.children, self.lost = [], {}  # (pid, read end); pid -> the error its chunks get
+        for k in range(processes):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # hold no read end, so that closing one stops its writer with EPIPE
+                    for fd in [read] + [pipe.fileno() for _, pipe in self.children]:
+                        os.close(fd)
+                    out = open(write, "wb")
+                    for chunk in chunks[k::processes]:
+                        try:
+                            result = _run_chunk(*chunk)
+                        except Exception as exc:  # noqa: BLE001 - fails its variation only
+                            result = exc
+                        pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                        out.flush()
+                    os._exit(0)
+                finally:  # never returns into the parent's code, whatever it raised
+                    os._exit(1)
+            os.close(write)
+            self.children.append((pid, open(read, "rb")))
 
     def collect(self, config: simenv.SimConfig) -> list[simenv.SimTrace]:
-        """The traces of config's chunks, or its first error once every chunk is in."""
-        done = []
-        while True:
-            while len(self.in_flight) < self.window and (chunk := next(self.chunks, None)):
-                self.in_flight.append((chunk[0], self.executor.submit(_run_chunk, *chunk)))
-            if done:
-                done[-1].exception()  # waits for the chunk taken last, the window full again
-            if not self.in_flight or self.in_flight[0][0] is not config:
-                return [trace for future in done for trace in future.result()]
-            done.append(self.in_flight.pop(0)[1])
+        """The traces of config's chunks, or its first error once every chunk is read."""
+        traces, errors = [], []
+        while self.owed and self.owed[-1][0] is config:
+            pid, pipe = self.children[self.owed.pop()[1]]
+            try:
+                result = self.lost.get(pid) or pickle.load(pipe)
+            except Exception:  # noqa: BLE001 - the stream ends here, and the child's chunks with it
+                pipe.close()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                result = self.lost[pid] = ChildProcessError(f"worker exited with status {status}")
+            if isinstance(result, Exception):
+                errors.append(result)
+            else:
+                traces += result
+        if errors:
+            raise errors[0]
+        return traces
+
+    def close(self) -> None:
+        for pid, pipe in self.children:
+            pipe.close()  # a child still writing stops with EPIPE
+            if pid not in self.lost:
+                os.waitpid(pid, 0)
 
 
 def _run_variation(config: simenv.SimConfig, workers: int, pool) -> list[simenv.SimTrace]:
@@ -299,8 +327,8 @@ def _cmd_experiment(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    workers = max(1, args.workers)
-    pool = _ChunkPipeline([c for _, c, _ in resolved], workers) if workers > 1 else None
+    workers = max(1, args.workers) if hasattr(os, "fork") else 1
+    pool = _ForkPool([c for _, c, _ in resolved], workers) if workers > 1 else None
 
     rho_rows: dict[str, list[tuple]] = {}
     latency_rows: list[tuple] = []
@@ -344,7 +372,7 @@ def _cmd_experiment(args) -> int:
                 simenv.write_records(out_dir / f"{variation.name}.ndjson", traces)
     finally:
         if pool is not None:
-            pool.executor.shutdown()
+            pool.close()
 
     for pu_label, rows in rho_rows.items():
         metrics.write_rho_csv(out_dir / f"rho_pu{pu_label}.csv", rows)

@@ -135,8 +135,10 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def write_rho_csv(path, rows: Iterable[tuple]) -> None:
-    """Rows: (protocol, pu_level, t, rho_mean, rho_stddev)."""
-    write_csv(path, ("protocol", "pu_level", "t", "rho_mean", "rho_stddev"), rows)
+    """Rows: (protocol, pu_level, t, rho_mean, rho_stddev), as `write_csv` writes them."""
+    with open(path, "w", newline="") as fh:
+        fh.write("protocol,pu_level,t,rho_mean,rho_stddev\r\n")
+        fh.writelines("%s,%s,%d,%.9g,%.9g\r\n" % row for row in rows)
 
 
 def write_latency_csv(path, rows: Iterable[tuple]) -> None:

@@ -36,6 +36,7 @@ __all__ = [
 
 MIN_EFFECTIVE_CHANNELS = 4
 RECORD_BLOCK = 1000  # slots per block of NDJSON records
+PREROLL_BLOCK = 1 << 16  # most draws of an rch pre-roll held at once
 SEED_BLOCK = 256  # pair indices per block of seed states
 _MASK = 0xFFFFFFFF
 
@@ -293,7 +294,9 @@ class PairSimulation:
         busy, cells = np.asarray(self.pu.rows).ravel(), tables["cells"]
         if protocol == "rch":
             tx = self.sender.channels(self._tx_base, horizon)
-            rx = self.receiver.channels(0, pre + horizon)[pre:]
+            for done in range(0, pre, PREROLL_BLOCK):  # drawn and dropped, a block at a time
+                self.receiver.channels(done, min(PREROLL_BLOCK, pre - done))
+            rx = self.receiver.channels(pre, horizon)
             tx_phys, rx_phys = tables["alias"].take(tx), tables["alias"].take(rx)
             tx, rx = tx.astype(np.int16), rx.astype(np.int16)
         else:

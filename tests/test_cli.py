@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, spec parsing, output determinism."""
 
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -98,6 +97,13 @@ def _chunk_failing_for_css(config, start, stop):
     if config.protocol == "css" and start == 0:
         raise RuntimeError("injected chunk failure")
     return _RUN_CHUNK(config, start, stop)
+
+
+def run_python(script, *argv):
+    """Run script in a fresh interpreter that imports skolemhop from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def experiment_outputs(spec_path, out_dir, workers):
@@ -330,33 +336,70 @@ class TestExperimentCommand:
         assert without_css(failed) == without_css(clean)
 
     def test_pool_capped_at_usable_cpus(self, tmp_path, monkeypatch):
-        created, submitted = [], []
+        forks, fork, log = [], os.fork, tmp_path / "chunks.log"
 
-        class InlineExecutor:
-            """Runs each chunk when submitted, in this process."""
+        def counted_fork():
+            forks.append(None)
+            return fork()
 
-            def __init__(self, max_workers):
-                created.append(max_workers)
+        def logged_chunk(config, start, stop):
+            # Runs in a child: the log is appended to, one short line a chunk.
+            with open(log, "a") as fh:
+                fh.write(f"{config.protocol} {start} {stop}\n")
+            return _RUN_CHUNK(config, start, stop)
 
-            def submit(self, fn, *args):
-                submitted.append(args[1:])
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(cli, "_run_chunk", logged_chunk)
         spec_path = tmp_path / "pool.spec"
         spec_path.write_text(POOL_SPEC)
         _, single = experiment_outputs(spec_path, tmp_path / "w1", 1)
+        assert not forks and not log.exists()
         assert experiment_outputs(spec_path, tmp_path / "w5000", 5000) == (0, single)
-        assert created == [3]
+        assert len(forks) == 3
         # The chunks do not depend on --workers: CHUNK_PAIRS, then the rest.
         chunk = cli.CHUNK_PAIRS
-        assert submitted == [(0, chunk), (chunk, chunk + 1)] * 3
+        logged = sorted(line.split() for line in log.read_text().splitlines())
+        assert logged == sorted([protocol, str(start), str(stop)]
+                                for protocol in ("sass", "rch", "css")
+                                for start, stop in ((0, chunk), (chunk, chunk + 1)))
+
+    @pytest.mark.parametrize("death,status", [("os._exit(3)", 3),
+                                              ("raise KeyboardInterrupt", 1)])
+    def test_dead_worker_fails_the_variations_it_owed(self, tmp_path, death, status):
+        spec_path = tmp_path / "failing.spec"
+        spec_path.write_text(FAILING_SPEC)
+        code, clean = experiment_outputs(spec_path, tmp_path / "clean", 1)
+        assert code == 0
+        script = (
+            "import os, sys\n"
+            "from skolemhop import cli\n"
+            "run_chunk = cli._run_chunk\n"
+            "def dying_chunk(config, start, stop):\n"
+            "    if config.protocol == 'css' and start == 0:\n"
+            f"        {death}\n"
+            "    return run_chunk(config, start, stop)\n"
+            "cli._run_chunk = dying_chunk\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out_dir = tmp_path / "dead"
+        result = run_python(script, "experiment", str(spec_path), "--out", str(out_dir),
+                            "--workers", "2")
+        assert result.returncode == 1, result.stderr
+        # Of two children, the one running the css chunk from pair 0 also owes
+        # the rch variation a chunk; the sass variation ran before it died.
+        assert result.stderr.splitlines() == [
+            f"error: variation css-failing: worker exited with status {status}",
+            f"error: variation rch-last: worker exited with status {status}",
+        ]
+        lines = result.stdout.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("sass-first: ")
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "latency.csv", "rho_pu25.csv", "summary.csv"]
+        for name in ("latency.csv", "rho_pu25.csv", "summary.csv"):
+            clean_lines = clean[name].decode().splitlines()
+            expected = [line for line in clean_lines if "css" not in line and "rch" not in line]
+            assert (out_dir / name).read_text().splitlines() == expected
 
     def test_commands_without_simulation_leave_numpy_random_unloaded(self):
         script = (
@@ -366,12 +409,24 @@ class TestExperimentCommand:
             "assert cli.main(['sequence', '--channels', '10']) == 0\n"
             "print('numpy.random' in sys.modules)\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, timeout=120)
+        result = run_python(script)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
+
+    def test_pool_parent_leaves_pool_modules_and_numpy_random_unloaded(self, tmp_path):
+        spec_path = tmp_path / "tiny.spec"
+        spec_path.write_text(TINY_SPEC)
+        script = (
+            "import sys\n"
+            "from skolemhop import cli\n"
+            "assert cli.main(['experiment', *sys.argv[1:], '--workers', '2']) == 0\n"
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'numpy.random')\n"
+            "             if m in sys.modules))\n"
+        )
+        result = run_python(script, str(spec_path), "--out", str(tmp_path / "out"))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "rho_pu25.csv").exists()
 
     def test_empty_spec_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "empty.spec"

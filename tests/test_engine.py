@@ -8,12 +8,14 @@ horizons that end anywhere in a search or probe frame.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skolemhop import simenv
 from skolemhop.protocol import (
     PROTOCOLS,
     BroadcastSender,
@@ -212,6 +214,32 @@ class TestNegativeDrift:
         near = dataclasses.replace(far, drift=-(10**9 % period**2) - period**2)
         for pair_index in range(4):
             assert engine_trace(far, pair_index)[0] == engine_trace(near, pair_index)[0]
+
+    def test_rch_preroll_blocks_keep_the_draws(self, monkeypatch):
+        # Three whole blocks and a part: the receiver's channels are still the
+        # tail of one array of |d| + horizon draws, and no trace field moves.
+        pre = 3 * simenv.PREROLL_BLOCK + 7
+        config = SimConfig(n_channels=10, protocol="rch", pu_channels=3, busy_len=30,
+                           idle_mean=20.0, drift=-pre, horizon=300, seed=4)
+        blocked = [engine_trace(config, j)[0] for j in range(3)]
+        for j, fields in enumerate(blocked):
+            one_array = PairSimulation(config, j).receiver.channels(0, pre + config.horizon)
+            assert fields[1] == one_array[pre:].tolist()
+        monkeypatch.setattr(simenv, "PREROLL_BLOCK", pre + 1)
+        assert [engine_trace(config, j)[0] for j in range(3)] == blocked
+
+    def test_rch_preroll_memory_is_bounded(self):
+        config = SimConfig(n_channels=12, protocol="rch", pu_channels=2, busy_len=400,
+                           idle_mean=400.0, drift=-10**7, horizon=1000, seed=6)
+        sim = PairSimulation(config, 0)
+        sequence_tables(sim.plan, config.horizon)
+        tracemalloc.start()
+        try:
+            sim.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # one array of the pre-roll would take 80 MB
 
 
 class TestByteIdentityPins:

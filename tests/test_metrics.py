@@ -4,8 +4,11 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from skolemhop import metrics
+from skolemhop.protocol import PROTOCOLS
 from skolemhop.simenv import SimConfig, run
 
 
@@ -211,6 +214,23 @@ class TestCsv:
         assert got[0]["protocol"] == "sass"
         assert float(got[0]["rho_mean"]) == 0.5
         assert got[1]["pu_level"] == "25"
+
+    @given(rows=st.lists(st.tuples(
+        st.sampled_from(PROTOCOLS),
+        st.floats().map(lambda pu: f"{pu + 0.0:g}"),
+        st.integers(1, 10**9),
+        st.floats(),
+        st.floats(),
+    )))
+    @example(rows=[("sass", "0", 1, -0.0, 5e-324), ("css", "nan", 2, float("nan"), 1e300),
+                   ("rch", "inf", 3, float("inf"), -float("inf"))])
+    def test_rho_csv_matches_csv_writer(self, tmp_path_factory, rows):
+        # The one-template writer against csv.writer with `_fmt`: the same bytes.
+        directory = tmp_path_factory.mktemp("rho")
+        fast, generic = directory / "fast.csv", directory / "generic.csv"
+        metrics.write_rho_csv(fast, rows)
+        metrics.write_csv(generic, ("protocol", "pu_level", "t", "rho_mean", "rho_stddev"), rows)
+        assert fast.read_bytes() == generic.read_bytes()
 
     def test_latency_csv_undefined_blank(self, tmp_path):
         path = tmp_path / "latency.csv"
