@@ -401,10 +401,10 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
 def _cmd_sequence(args) -> int:
     try:
         if args.order is not None:
-            seq = construct_skolem(args.order)
-            print(f"order {args.order} sequence: {' '.join(map(str, seq.values))}")
-            print(f"length: {len(seq.values)}")
-            ok = verify_skolem(seq.values)
+            values = construct_skolem(args.order)
+            print(f"order {args.order} sequence: {' '.join(map(str, values))}")
+            print(f"length: {len(values)}")
+            ok = verify_skolem(values)
         else:
             mode = "downsizing" if args.downsize else "padding"
             plan = make_channel_plan(args.channels, mode)

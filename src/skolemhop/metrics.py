@@ -35,11 +35,6 @@ RHO_DENSE_LIMIT = 200
 RHO_STRIDE = 10
 
 
-def _delivered(trace) -> np.ndarray:
-    data = getattr(trace, "delivered", trace)
-    return np.asarray(data, dtype=bool)
-
-
 def rho_sample_points(horizon: int) -> list[int]:
     points = list(range(1, min(horizon, RHO_DENSE_LIMIT) + 1))
     points.extend(range(RHO_DENSE_LIMIT + RHO_STRIDE, horizon + 1, RHO_STRIDE))
@@ -60,14 +55,13 @@ class RhoSeries:
         return self.mean[-1]
 
 
-def rho_series(traces: Sequence, points: Sequence[int] | None = None) -> RhoSeries:
+def rho_series(traces: Sequence) -> RhoSeries:
     if not traces:
         raise ValueError("no traces")
-    matrix = np.stack([_delivered(t) for t in traces])
+    matrix = np.stack([t.delivered for t in traces])
     # A count never exceeds the horizon: the narrowest type holding it is exact, and fastest.
     cum = matrix.cumsum(axis=1, dtype=np.min_scalar_type(matrix.shape[1]))
-    if points is None:
-        points = rho_sample_points(cum.shape[1])
+    points = rho_sample_points(cum.shape[1])
     idx = np.asarray(points, dtype=int)
     per_pair = cum[:, idx - 1] / idx
     return RhoSeries(
@@ -97,7 +91,7 @@ def latency_report(traces: Sequence) -> LatencyReport:
     hit = [f + 1 for f in firsts if f is not None]  # latency in slots, 1-based
     report_windows: dict[int, tuple[float | None, int]] = {}
     # Deliveries within the first w slots, per pair; the mean is over pairs with any.
-    hits = np.stack([_delivered(t)[:max(LATENCY_WINDOWS)] for t in traces]).cumsum(axis=1)
+    hits = np.stack([t.delivered[:max(LATENCY_WINDOWS)] for t in traces]).cumsum(axis=1)
     for w in LATENCY_WINDOWS:
         if w <= hits.shape[1]:
             counts = [c for c in hits[:, w - 1].tolist() if c]

@@ -93,7 +93,7 @@ class SassReceiver:
         self.case: int | None = None
         self.committed_offset: int | None = None
         self.sb: dict[int, int] = {}
-        self._tau2_delivered = False
+        self._tau2_hit = False
         self._slot = 0
         self._pending_channel: int | None = None
 
@@ -157,7 +157,7 @@ class SassReceiver:
                 if self.first_delivery is None:
                     channel = self._values[(hits[0] + frame) % self._period]
                     self.first_delivery = (frame, hits[0], channel)
-                self._tau2_delivered |= self._tau2() in hits
+                self._tau2_hit |= self._tau2() in hits
         if self._slot % self._period == 0:
             self._end_of_frame(frame)
 
@@ -173,7 +173,7 @@ class SassReceiver:
     def _end_of_frame(self, frame: int) -> None:
         f0, _, alpha = self.first_delivery
         if self.case is None:
-            self.case = 2 if alpha == self._n_eff - 1 else 1 if self._tau2_delivered else 3
+            self.case = 2 if alpha == self._n_eff - 1 else 1 if self._tau2_hit else 3
             if self.case == 1:
                 self._commit(f0)
             return

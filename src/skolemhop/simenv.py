@@ -34,7 +34,6 @@ __all__ = [
     "nominal_intensity",
 ]
 
-MIN_EFFECTIVE_CHANNELS = 4
 RECORD_BLOCK = 1000  # slots per block of NDJSON records
 PREROLL_BLOCK = 1 << 16  # most draws of an rch pre-roll held at once
 SEED_BLOCK = 256  # pair indices per block of seed states
@@ -65,11 +64,7 @@ class SimConfig:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         plan = make_channel_plan(self.n_channels, self.plan_mode)
-        if plan.effective_count < MIN_EFFECTIVE_CHANNELS:
-            raise ValueError(
-                f"{self.n_channels} channels with {self.plan_mode} leaves "
-                f"{plan.effective_count} effective; need >= {MIN_EFFECTIVE_CHANNELS}"
-            )
+        ess_for_channel_count(plan.effective_count)  # rejects N' < 4
         if not 0 <= self.pu_channels <= self.n_channels:
             raise ValueError("pu_channels must be within [0, n_channels]")
         if self.busy_len < 1:
@@ -90,7 +85,6 @@ class SimTrace:
     pair_index: int
     protocol: str
     drift: int
-    period: int
     sender_channel: np.ndarray
     receiver_channel: np.ndarray
     pu_blocked: np.ndarray
@@ -106,7 +100,7 @@ class SimTrace:
     def __reduce__(self):
         # One buffer for the four per-slot arrays halves a trace's pickle round trip.
         arrays = [self.sender_channel, self.receiver_channel, self.pu_blocked, self.delivered]
-        scalars = (self.pair_index, self.protocol, self.drift, self.period,
+        scalars = (self.pair_index, self.protocol, self.drift,
                    self.first_delivery, self.committed_offset, self.missync)
         return _unpickle_trace, (scalars, [a.dtype for a in arrays], bytearray().join(arrays))
 
@@ -116,7 +110,7 @@ def _unpickle_trace(scalars, dtypes, buffer) -> SimTrace:
     horizon = len(buffer) // sum(sizes)
     arrays = [np.frombuffer(buffer, d, horizon, horizon * sum(sizes[:i]))
               for i, d in enumerate(dtypes)]
-    return SimTrace(*scalars[:4], *arrays, *scalars[4:])
+    return SimTrace(*scalars[:3], *arrays, *scalars[3:])
 
 
 def seed_words(seed: int, spawn_key: tuple, n_words: int) -> list:
@@ -318,7 +312,6 @@ class PairSimulation:
             pair_index=self.pair_index,
             protocol=protocol,
             drift=self.drift,
-            period=self.period,
             sender_channel=tx,
             receiver_channel=rx,
             pu_blocked=tx_busy | busy[cells + rx_phys],

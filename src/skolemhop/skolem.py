@@ -16,12 +16,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
-    "SkolemSequence",
     "EssSequence",
     "ChannelPlan",
     "verify_skolem",
     "construct_skolem",
-    "extend_to_ess",
     "make_channel_plan",
     "ess_for_channel_count",
 ]
@@ -58,18 +56,6 @@ def verify_skolem(values: Sequence[int], zero_based: bool = False) -> bool:
         else:
             first[v] = i
     return seen_twice == set(range(lo, lo + distinct)) and len(first) == distinct
-
-
-@dataclass(frozen=True)
-class SkolemSequence:
-    """A validated order-n sequence (values 1..n, copies k+1 apart)."""
-
-    order: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != 2 * self.order or not verify_skolem(self.values):
-            raise ValueError(f"not a valid order-{self.order} sequence: {self.values}")
 
 
 @dataclass(frozen=True)
@@ -124,11 +110,11 @@ def _fill_search(n: int) -> tuple[int, ...] | None:
     return tuple(seq) if place((1 << size) - 1, list(range(n, 0, -1))) else None
 
 
-def construct_skolem(n: int) -> SkolemSequence:
-    """Deterministic construction for any order n with n % 4 in (0, 3).
+def construct_skolem(n: int) -> tuple[int, ...]:
+    """The order-n values, for any order n with n % 4 in (0, 3).
 
     A pruned backtracking search (see `_fill_search`); the result is
-    re-validated by `SkolemSequence`.
+    validated by whoever wraps it (`EssSequence`, or `sequence --order`).
     """
     if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise TypeError(f"order must be an integer, got {n!r}")
@@ -140,12 +126,7 @@ def construct_skolem(n: int) -> SkolemSequence:
     found = _fill_search(n)
     if found is None:
         raise RuntimeError(f"search failed for order {n} despite existence")
-    return SkolemSequence(order=n, values=found)
-
-
-def extend_to_ess(s: SkolemSequence) -> EssSequence:
-    """Prepend the adjacent 0-pair, keeping the order."""
-    return EssSequence(order=s.order, values=(0, 0) + s.values)
+    return found
 
 
 @dataclass(frozen=True)
@@ -172,8 +153,9 @@ def make_channel_plan(n_channels: int, mode: str = "padding") -> ChannelPlan:
     """Normalize a physical channel count to the nearest admissible N'.
 
     Padding picks the smallest N' >= N, downsizing the largest N' <= N
-    (always at most 2 away).  Downsizing below nine channels can land on a
-    degenerate N' (1) that the simulator refuses; the plan itself allows it.
+    (always at most 2 away).  One channel, or two or three downsized, land
+    on a degenerate N' (1) that `ess_for_channel_count` refuses; the plan
+    itself allows it.
     """
     if not isinstance(n_channels, numbers.Integral) or isinstance(n_channels, bool):
         raise TypeError(f"channel count must be an integer, got {n_channels!r}")
@@ -203,8 +185,9 @@ def make_channel_plan(n_channels: int, mode: str = "padding") -> ChannelPlan:
 def ess_for_channel_count(n_effective: int) -> EssSequence:
     """The broadcast base sequence for N' effective channels (N' >= 4).
 
-    Built and verified once per N'.  The cache is typed, so 12.0 never hits
-    the entry for 12 and is rejected like any non-integer.
+    The order-(N'-1) values with the adjacent 0-pair prepended, built and
+    verified once per N'.  The cache is typed, so 12.0 never hits the entry
+    for 12 and is rejected like any non-integer.
     """
     if n_effective % 4 not in (0, 1):
         raise ValueError(
@@ -212,4 +195,5 @@ def ess_for_channel_count(n_effective: int) -> EssSequence:
         )
     if n_effective < 4:
         raise ValueError(f"need at least 4 effective channels, got {n_effective}")
-    return extend_to_ess(construct_skolem(n_effective - 1))
+    order = n_effective - 1
+    return EssSequence(order=order, values=(0, 0) + construct_skolem(order))

@@ -1,0 +1,50 @@
+"""The package surface: the README's Python API runs as printed, and every
+module's `__all__` names only what the module defines."""
+
+import importlib
+import os
+import pkgutil
+import re
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import skolemhop
+
+ROOT = Path(__file__).resolve().parents[1]
+
+README_API = {"SimConfig", "run", "rho_series", "ess_for_channel_count", "shift",
+              "delivery_channels"}
+MODULES = [info.name for info in pkgutil.iter_modules(skolemhop.__path__)]
+
+
+def readme_api_example() -> str:
+    section = (ROOT / "README.md").read_text().split("\n## Python API\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_api_example_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run([sys.executable, "-c", readme_api_example()], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    first, second = result.stdout.splitlines()
+    assert first == "frozenset({2})"
+    assert 0.0 <= float(second) <= 1.0
+
+
+def test_top_level_names_are_the_readme_api():
+    public = {name for name, value in vars(skolemhop).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == README_API
+    assert isinstance(skolemhop.__version__, str)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_exist(name):
+    module = importlib.import_module(f"skolemhop.{name}")
+    assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []

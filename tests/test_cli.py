@@ -138,6 +138,17 @@ class TestSequenceCommand:
         assert "7 physical -> 5 effective" in out
         assert "discarded channels: 5, 6" in out
 
+    @pytest.mark.parametrize("args,digest", [
+        ("--order 11", "cc4028d23e548f9ce9a27cc013bf4f8225badac11c451dcfcc7dba44d74fb3be"),
+        ("--channels 10", "72b5a23405d666b16736ff72ac0b5bfd11538db12199a3ab94c7403043c5c653"),
+        ("--channels 7 --downsize",
+         "11a1d4c5f4b0f73dcae3e50f87b2a80dde45a435624c2b1be52229c6504ddc8d"),
+    ])
+    def test_stdout_pinned(self, capsys, args, digest):
+        # sha256 of the full stdout.
+        assert run_cli(["sequence", *args.split()]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestTheoremsCommand:
     def test_four_effective_reproduces_table(self, capsys):
@@ -538,7 +549,7 @@ class TestExperimentCommand:
         "setting",
         ["pu = 150", "pairs = 0", "plan = bogus", "protocol = foo", "channels = 0",
          "pu = 25\nchannels = 0", "occupied = 2\nidle = inf", "occupied = 2\nidle = nan",
-         "plan = downsize"],
+         "plan = downsize", "channels = 1", "channels = 3\nplan = downsizing"],
     )
     def test_bad_variation_rejected_before_work(self, tmp_path, capsys, setting):
         bad = TINY_SPEC + f"\n[variation]\nname = broken\n{setting}\n"

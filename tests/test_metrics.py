@@ -75,7 +75,8 @@ class TestRho:
     def test_series_is_mean_of_rho(self):
         rng = np.random.default_rng(11)
         traces = [fake_trace(rng.random(40) < 0.4) for _ in range(5)]
-        series = metrics.rho_series(traces, points=[1, 7, 40])
+        series = metrics.rho_series(traces)
+        assert series.points == tuple(range(1, 41))
         for k, mean in zip(series.points, series.mean):
             assert mean == pytest.approx(np.mean([rho(t, k) for t in traces]))
 
@@ -93,8 +94,8 @@ class TestRhoSeries:
 
     def test_mean_is_pairwise_mean(self):
         traces = [fake_trace([True] * 10), fake_trace([False] * 10)]
-        series = metrics.rho_series(traces, points=[5, 10])
-        assert series.mean == (0.5, 0.5)
+        series = metrics.rho_series(traces)
+        assert series.mean == (0.5,) * 10
         assert series.final() == 0.5
 
     def test_series_equals_float_cumsum(self):
@@ -111,9 +112,11 @@ class TestRhoSeries:
     def test_permutation_invariant(self):
         a = [fake_trace([True, False] * 5), fake_trace([False] * 10),
              fake_trace([True] * 10)]
-        s1 = metrics.rho_series(a, points=[10])
-        s2 = metrics.rho_series(list(reversed(a)), points=[10])
-        assert s1.mean == s2.mean and s1.stddev == s2.stddev
+        s1 = metrics.rho_series(a)
+        s2 = metrics.rho_series(list(reversed(a)))
+        # Only the last point, t = 10: elsewhere the std is not bitwise order-invariant.
+        assert s1.points[-1] == 10
+        assert s1.mean[-1] == s2.mean[-1] and s1.stddev[-1] == s2.stddev[-1]
 
 
 class TestLatency:
@@ -200,8 +203,8 @@ class TestBaselineRhoLevels:
         config = SimConfig(n_channels=4, protocol="rch", pu_channels=x,
                            busy_len=400, idle_mean=idle, horizon=400,
                            pairs=40, seed=2)
-        series = metrics.rho_series(run(config), points=[200, 400])
-        assert abs(series.mean[0] - 0.125) < 0.04
+        series = metrics.rho_series(run(config))
+        assert abs(series.mean[series.points.index(200)] - 0.125) < 0.04
 
 
 class TestCsv:

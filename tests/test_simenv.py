@@ -66,7 +66,7 @@ class TestAdjudication:
         assert trace.drift == -3
         assert trace.committed_offset is not None
         assert trace.missync is False
-        period = trace.period
+        period = 8  # N' = 4
         start = (trace.first_delivery // period + 4) * period
         assert trace.delivered[start:].all()
 
@@ -449,7 +449,6 @@ def record_traces(draw):
             pair_index=draw(st.integers(0, 10**6)),
             protocol="sass",
             drift=0,
-            period=8,
             sender_channel=rng.integers(0, top + 1, horizon).astype(np.int16),
             receiver_channel=rng.integers(0, top + 1, horizon).astype(np.int16),
             pu_blocked=rng.random(horizon) < pu_rate,

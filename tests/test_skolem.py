@@ -14,18 +14,16 @@ from hypothesis import strategies as st
 from skolemhop.skolem import (
     EXISTENCE_CONDITION,
     EssSequence,
-    SkolemSequence,
     _order_exists,
     construct_skolem,
     ess_for_channel_count,
-    extend_to_ess,
     make_channel_plan,
     verify_skolem,
 )
 
 ADMISSIBLE_ORDERS_BELOW_64 = [n for n in range(1, 64) if n % 4 in (0, 3)]
 
-# sha256 of repr([construct_skolem(n).values for n in SEQUENCE_DIGEST_ORDERS]):
+# sha256 of repr([construct_skolem(n) for n in SEQUENCE_DIGEST_ORDERS]):
 # pins the constructed sequences (order 11 is the presets' N' = 12).
 SEQUENCE_DIGEST_ORDERS = [n for n in ADMISSIBLE_ORDERS_BELOW_64 if n != 31]
 SEQUENCE_DIGEST = "eaafd226118383937767a473f8eb1e1f98cc1cb5de3f72066681e74c333e826c"
@@ -115,9 +113,9 @@ class TestVerify:
 
 class TestConstruct:
     def test_order3_is_the_known_sequence_shape(self):
-        seq = construct_skolem(3)
-        assert verify_skolem(seq.values)
-        assert seq.values in {(3, 1, 2, 1, 3, 2), (2, 3, 1, 2, 1, 3)}
+        values = construct_skolem(3)
+        assert verify_skolem(values)
+        assert values in {(3, 1, 2, 1, 3, 2), (2, 3, 1, 2, 1, 3)}
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 9, 10])
     def test_nonexistent_orders_rejected(self, n):
@@ -132,22 +130,21 @@ class TestConstruct:
 
     @pytest.mark.parametrize("n", ADMISSIBLE_ORDERS_BELOW_64)
     def test_orders_up_to_24_validate(self, n):
-        seq = construct_skolem(n)
-        assert seq.order == n
-        assert len(seq.values) == 2 * n
-        assert verify_skolem(seq.values)
+        values = construct_skolem(n)
+        assert len(values) == 2 * n
+        assert verify_skolem(values)
 
     @pytest.mark.parametrize("n", [3, 4, 7, 8])
     def test_small_orders_in_oracle_solution_set(self, n):
         solutions = set(enumerate_skolem(n))
-        assert construct_skolem(n).values in solutions
+        assert construct_skolem(n) in solutions
 
     def test_sequence_digest(self):
-        values = [construct_skolem(n).values for n in SEQUENCE_DIGEST_ORDERS]
+        values = [construct_skolem(n) for n in SEQUENCE_DIGEST_ORDERS]
         assert hashlib.sha256(repr(values).encode()).hexdigest() == SEQUENCE_DIGEST
 
     def test_deterministic(self):
-        assert construct_skolem(12).values == construct_skolem(12).values
+        assert construct_skolem(12) == construct_skolem(12)
 
     def test_oracle_counts(self):
         # Known solution counts (both chiralities) for the smallest orders.
@@ -156,22 +153,16 @@ class TestConstruct:
         assert len(list(enumerate_skolem(7))) == 52
         assert list(enumerate_skolem(5)) == []
 
-    def test_sequence_type_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            SkolemSequence(order=2, values=(1, 2, 1, 2))
-
 
 class TestExtend:
     def test_paper_shape(self):
-        s = SkolemSequence(order=3, values=(3, 1, 2, 1, 3, 2))
-        assert extend_to_ess(s).values == (0, 0, 3, 1, 2, 1, 3, 2)
+        assert ess_for_channel_count(4).values == (0, 0, 3, 1, 2, 1, 3, 2)
 
     @pytest.mark.parametrize("n", ADMISSIBLE_ORDERS_BELOW_64)
     def test_extension_preserves_validity(self, n):
-        s = construct_skolem(n)
-        ess = extend_to_ess(s)
+        ess = ess_for_channel_count(n + 1)
         assert ess.order == n
-        assert len(ess.values) == len(s.values) + 2
+        assert ess.values[2:] == construct_skolem(n)
         assert verify_skolem(ess.values, zero_based=True)
 
     def test_ess_type_rejects_invalid(self):
