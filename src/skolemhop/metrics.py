@@ -106,10 +106,8 @@ def latency_report(traces: Sequence) -> LatencyReport:
 
 def missync_rate(traces: Sequence) -> float:
     """Fraction of committed receivers whose offset disagrees with the drift."""
-    committed = [t for t in traces if t.missync is not None]
-    if not committed:
-        return 0.0
-    return sum(1 for t in committed if t.missync) / len(committed)
+    flags = [t.missync for t in traces if t.missync is not None]
+    return sum(flags) / len(flags) if flags else 0.0
 
 
 def _fmt(value):

@@ -382,8 +382,7 @@ def write_records(path, traces: Iterable[SimTrace]) -> None:
                 rows["rx"] = rx_text.take(rx[block])
                 pu, hit = trace.pu_blocked[block], trace.delivered[block]
                 rows["flags"] = flags.take(2 * pu.view(np.uint8) + hit.view(np.uint8))
-                text = rows.view(np.uint8)
-                fh.write(text[text != 0])
+                fh.write(rows.tobytes().replace(b"\0", b""))
 
 
 def realized_idle_mean(idle_mean: float) -> float:

@@ -99,10 +99,10 @@ def _chunk_failing_for_css(config, start, stop):
     return _RUN_CHUNK(config, start, stop)
 
 
-def run_python(script, *argv):
-    """Run script in a fresh interpreter that imports skolemhop from this checkout."""
+def run_python(*args):
+    """Run `python *args` in a fresh interpreter that imports skolemhop from this checkout."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -176,6 +176,50 @@ class TestTheoremsCommand:
     def test_inadmissible_count_rejected(self, capsys):
         assert run_cli(["theorems", "6"]) == 2
         assert "congruent to 0 or 1" in capsys.readouterr().err
+
+    def test_too_few_channels_rejected(self, capsys):
+        assert run_cli(["theorems", "1"]) == 2
+        assert "need at least 4 effective channels" in capsys.readouterr().err
+
+    def test_count_above_bound_rejected_before_construction(self, capsys, monkeypatch):
+        def no_search(n_eff):
+            raise AssertionError("construction started")
+
+        monkeypatch.setattr(cli, "ess_for_channel_count", no_search)
+        limit = cli.THEOREMS_MAX_EFFECTIVE
+        assert run_cli(["theorems", str(limit + 4)]) == 2
+        assert f"at most {limit} effective channels" in capsys.readouterr().err
+
+
+class TestProcessExit:
+    def test_heap_frozen_at_exit_by_one_hook(self):
+        # atexit runs handlers last-registered first, so the CLI's hook runs before the
+        # probe; gc.freeze is counted, so a second hook would show as a second call.
+        script = (
+            "import atexit, gc\n"
+            "from skolemhop import cli\n"
+            "freeze, calls = gc.freeze, []\n"
+            "gc.freeze = lambda: calls.append(freeze())\n"
+            "atexit.register(lambda: print('at exit:', len(calls), gc.get_freeze_count() > 0))\n"
+            "assert cli.main(['theorems', '4']) == 0\n"
+            "assert cli.main(['theorems', '4']) == 0\n"
+        )
+        result = run_python("-c", script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "at exit: 1 True"
+
+    def test_module_run_loses_nothing_at_exit(self, tmp_path, capsys):
+        spec_path = tmp_path / "tiny.spec"
+        spec_path.write_text(TINY_SPEC)
+        code, expected = experiment_outputs(spec_path, tmp_path / "in-process", 2)
+        assert code == 0
+        printed = capsys.readouterr().out
+        out_dir = tmp_path / "module"
+        result = run_python("-m", "skolemhop.cli", "experiment", str(spec_path),
+                            "--out", str(out_dir), "--records", "--workers", "2")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == printed
+        assert {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} == expected
 
 
 class TestSpecParsing:
@@ -394,7 +438,7 @@ class TestExperimentCommand:
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         out_dir = tmp_path / "dead"
-        result = run_python(script, "experiment", str(spec_path), "--out", str(out_dir),
+        result = run_python("-c", script, "experiment", str(spec_path), "--out", str(out_dir),
                             "--workers", "2")
         assert result.returncode == 1, result.stderr
         # Of two children, the one running the css chunk from pair 0 also owes
@@ -420,7 +464,7 @@ class TestExperimentCommand:
             "assert cli.main(['sequence', '--channels', '10']) == 0\n"
             "print('numpy.random' in sys.modules)\n"
         )
-        result = run_python(script)
+        result = run_python("-c", script)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
 
@@ -434,7 +478,7 @@ class TestExperimentCommand:
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'numpy.random')\n"
             "             if m in sys.modules))\n"
         )
-        result = run_python(script, str(spec_path), "--out", str(tmp_path / "out"))
+        result = run_python("-c", script, str(spec_path), "--out", str(tmp_path / "out"))
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "out" / "rho_pu25.csv").exists()
