@@ -1,5 +1,5 @@
 """Command-line harness: sequence inspection, exhaustive property checks,
-and experiment sweeps emitting CSV.
+and experiment sweeps emitting CSV; only the experiment path imports numpy.
 
 Experiment specs are flat key = value text with one [variation] block per
 run configuration; globals above the first block apply to every variation
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import functools
 import gc
 import os
 import pickle
@@ -19,14 +20,18 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import hopping, metrics, simenv
+from . import hopping
 from .skolem import (
     construct_skolem,
     ess_for_channel_count,
     make_channel_plan,
     verify_skolem,
 )
+
+if TYPE_CHECKING:
+    from . import simenv
 
 __all__ = ["main", "parse_experiment_text", "render_experiment_spec", "preset"]
 
@@ -201,10 +206,12 @@ def preset(name: str) -> ExperimentSpec:
 
 def variation_seed(global_seed: int, index: int) -> int:
     """Stable per-variation seed: SeedSequence(global, spawn_key=(index,))."""
+    from . import simenv
     return simenv.seed_words(global_seed, (index,), 1)[0]
 
 
 def _resolve(v: Variation, global_seed: int, index: int) -> tuple[simenv.SimConfig, str]:
+    from . import simenv
     pu = None
     if v.occupied is not None or v.idle is not None:
         if v.occupied is None or v.idle is None:
@@ -243,6 +250,7 @@ def _resolve_all(spec: ExperimentSpec) -> list[tuple[Variation, simenv.SimConfig
 
 
 def _run_chunk(config: simenv.SimConfig, start: int, stop: int) -> list[simenv.SimTrace]:
+    from . import simenv
     return simenv.run(config, pair_range=range(start, stop))
 
 
@@ -303,6 +311,7 @@ class _ForkPool:
 
 
 def _run_variation(config: simenv.SimConfig, workers: int, pool) -> list[simenv.SimTrace]:
+    from . import simenv
     return simenv.run(config) if pool is None else pool.collect(config)
 
 
@@ -328,6 +337,8 @@ def _cmd_experiment(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+    from . import metrics, simenv
 
     workers = max(1, args.workers) if hasattr(os, "fork") else 1
     pool = _ForkPool([c for _, c, _ in resolved], workers) if workers > 1 else None
@@ -462,6 +473,7 @@ def _cmd_theorems(args) -> int:
     return EXIT_OK if ok else EXIT_RUN_FAILURE
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main()
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skolemhop",

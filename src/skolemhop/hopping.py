@@ -5,15 +5,12 @@ channel per period (channel |g|-1 for relative drift g, every channel when
 g = 0), and on one slot when 0 < |g| < N', two when |g| = N'.  A receiver
 can therefore read its clock drift off the channel where deliveries happen;
 the exhaustive checkers at the bottom verify those facts for a given base
-sequence, every shift pair through one (P, P) table of rotations.
+sequence, every shift pair through one pass over all P rotations of it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .skolem import EssSequence
 
@@ -31,13 +28,9 @@ __all__ = [
 ALL_CHANNELS = "all"
 
 
-def _values(u: Sequence[int] | EssSequence) -> Sequence[int]:
-    return u.values if isinstance(u, EssSequence) else u
-
-
 def shift(u: Sequence[int] | EssSequence, offset: int) -> tuple[int, ...]:
     """Cyclic shift: result[t] = u[(t + offset) mod len(u)]."""
-    vals = _values(u)
+    vals = u.values if isinstance(u, EssSequence) else u
     period = len(vals)
     return tuple(vals[(t + offset) % period] for t in range(period))
 
@@ -61,21 +54,15 @@ def canonical_drift(g_raw: int, period: int) -> int:
     return g - period if g > period // 2 else g
 
 
-def _coincidences(u: np.ndarray) -> np.ndarray:
-    """hits[d, t] = (u[(t + d) % P] == u[t]) for base values u, shape (P, P).
+def _coincidences(ess: EssSequence) -> list[list[int]]:
+    """hits[d] = [u[t] for every slot t with u[(t + d) % P] == u[t]]: all P x P cells compared.
 
-    shift(u, a)[t] == shift(u, b)[t] iff hits[(a - b) % P, (t + b) % P], so
-    every shift pair (a, b) meets on the channels, and on as many slots, as
-    rotation d = (a - b) mod P; row d is shift(u, d) against u.
+    shift(u, a)[t] == shift(u, b)[t] iff rotation d = (a - b) % P meets u at (t + b) % P, so
+    every shift pair (a, b) meets on the channels, and on as many slots, as its rotation d.
     """
-    period = len(u)
-    return sliding_window_view(np.concatenate([u, u]), period)[:period] == u
-
-
-def _rotation_channels(ess: EssSequence) -> list[set[int]]:
-    """Delivery channels of each rotation d = 0..P-1 against the base sequence."""
-    u = np.asarray(ess.values)
-    return [set(u[row].tolist()) for row in _coincidences(u)]
+    u = ess.values
+    doubled = u + u
+    return [[x for x, y in zip(u, doubled[d:]) if x == y] for d in range(len(u))]
 
 
 def _pair_violations(ess: EssSequence, label: str, observed: list, expected: Callable) -> list[str]:
@@ -98,7 +85,7 @@ def drift_channel_table(ess: EssSequence) -> list[int | str]:
     """Observed delivery channel of shift(u, a) against u, for a = 0..2N'-1."""
     return [
         ALL_CHANNELS if len(chans) == ess.n_effective else min(chans)
-        for chans in _rotation_channels(ess)
+        for chans in map(set, _coincidences(ess))
     ]
 
 
@@ -110,7 +97,7 @@ def check_channel_map(ess: EssSequence) -> list[str]:
     """
     everything = list(range(ess.n_effective))
     return _pair_violations(
-        ess, "channels", [sorted(chans) for chans in _rotation_channels(ess)],
+        ess, "channels", [sorted(set(hits)) for hits in _coincidences(ess)],
         lambda g: everything if g == 0 else [abs(g) - 1],
     )
 
@@ -118,6 +105,6 @@ def check_channel_map(ess: EssSequence) -> list[str]:
 def check_slot_counts(ess: EssSequence) -> list[str]:
     """Exhaustively check delivery-slot counts: 2N' at g=0, 1 inside, 2 at |g|=N'."""
     return _pair_violations(
-        ess, "|slots|", _coincidences(np.asarray(ess.values)).sum(axis=1).tolist(),
+        ess, "|slots|", [len(hits) for hits in _coincidences(ess)],
         lambda g: ess.period if g == 0 else (2 if abs(g) == ess.n_effective else 1),
     )

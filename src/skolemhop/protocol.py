@@ -17,9 +17,10 @@ search with the calibration permanently disabled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is named only in annotations
+    import numpy as np
 
 from .skolem import EssSequence
 

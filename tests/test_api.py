@@ -38,9 +38,12 @@ def test_readme_api_example_runs():
 
 
 def test_top_level_names_are_the_readme_api():
-    public = {name for name, value in vars(skolemhop).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    # dir(), not vars(): the simulation names are resolved on first use (PEP 562).
+    public = {name for name in dir(skolemhop)
+              if not name.startswith("_")
+              and not isinstance(getattr(skolemhop, name), types.ModuleType)}
     assert public == README_API
+    assert sorted(skolemhop.__all__) == sorted(README_API)
     assert isinstance(skolemhop.__version__, str)
 
 

@@ -173,6 +173,14 @@ class TestTheoremsCommand:
         assert run_cli(["theorems", str(n_eff)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_every_admissible_count_pinned(self, capsys):
+        # sha256 of the stdouts of all 31 admissible N' in 4..64, concatenated in order.
+        for n_eff in range(4, cli.THEOREMS_MAX_EFFECTIVE + 1):
+            if n_eff % 4 in (0, 1):
+                assert run_cli(["theorems", str(n_eff)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "565eb841769eb617bb5f2f994a749d4359c7e001011e7a16281206a6d61d21b8")
+
     def test_inadmissible_count_rejected(self, capsys):
         assert run_cli(["theorems", "6"]) == 2
         assert "congruent to 0 or 1" in capsys.readouterr().err
@@ -189,6 +197,28 @@ class TestTheoremsCommand:
         limit = cli.THEOREMS_MAX_EFFECTIVE
         assert run_cli(["theorems", str(limit + 4)]) == 2
         assert f"at most {limit} effective channels" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys):
+        # A cached parser must not carry one call's subcommand or options into the next.
+        calls = [
+            ["sequence", "--channels", "10", "--downsize"],
+            ["sequence", "--channels", "10"],
+            ["experiment", "--preset", "latency", "--dump-default", "-"],
+            ["experiment", "--dump-default"],
+            ["theorems", "5"],
+        ]
+        assert cli.build_parser() is cli.build_parser()
+        outputs = []
+        for args in calls:
+            assert run_cli(args) == 0
+            outputs.append(capsys.readouterr().out)
+        for args, out in zip(calls, outputs):
+            cli.build_parser.cache_clear()
+            assert run_cli(args) == 0
+            assert capsys.readouterr().out == out, args
+        assert outputs[0] != outputs[1] and outputs[2] != outputs[3]
 
 
 class TestProcessExit:
@@ -456,17 +486,27 @@ class TestExperimentCommand:
             expected = [line for line in clean_lines if "css" not in line and "rch" not in line]
             assert (out_dir / name).read_text().splitlines() == expected
 
-    def test_commands_without_simulation_leave_numpy_random_unloaded(self):
+    def test_commands_without_simulation_leave_numpy_random_unloaded(self, tmp_path):
+        # Each in a fresh interpreter: only the simulating commands import numpy at all.
+        empty_spec = tmp_path / "empty.spec"
+        empty_spec.write_text("")
         script = (
             "import sys\n"
             "from skolemhop import cli\n"
-            "assert cli.main(['theorems', '12']) == 0\n"
-            "assert cli.main(['sequence', '--channels', '10']) == 0\n"
-            "print('numpy.random' in sys.modules)\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
         )
-        result = run_python("-c", script)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "False"
+        for args, code in [
+            (["theorems", "12"], 0),
+            (["theorems", "6"], 2),
+            (["sequence", "--order", "11"], 0),
+            (["sequence", "--channels", "10"], 0),
+            (["experiment", "--dump-default", "-"], 0),
+            (["experiment", str(empty_spec)], 2),
+        ]:
+            result = run_python("-c", script, *args)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines()[-1] == f"{code} False False", args
 
     def test_pool_parent_leaves_pool_modules_and_numpy_random_unloaded(self, tmp_path):
         spec_path = tmp_path / "tiny.spec"
