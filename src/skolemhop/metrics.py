@@ -55,12 +55,17 @@ class RhoSeries:
         return self.mean[-1]
 
 
+def _delivery_counts(traces: Sequence, slots: int | None = None) -> np.ndarray:
+    """Per pair (row), the deliveries within the first t slots at column t-1."""
+    matrix = np.stack([t.delivered[:slots] for t in traces])
+    # A count never exceeds the horizon: the narrowest type holding it is exact, and fastest.
+    return matrix.cumsum(axis=1, dtype=np.min_scalar_type(matrix.shape[1]))
+
+
 def rho_series(traces: Sequence) -> RhoSeries:
     if not traces:
         raise ValueError("no traces")
-    matrix = np.stack([t.delivered for t in traces])
-    # A count never exceeds the horizon: the narrowest type holding it is exact, and fastest.
-    cum = matrix.cumsum(axis=1, dtype=np.min_scalar_type(matrix.shape[1]))
+    cum = _delivery_counts(traces)
     points = rho_sample_points(cum.shape[1])
     idx = np.asarray(points, dtype=int)
     per_pair = cum[:, idx - 1] / idx
@@ -91,7 +96,7 @@ def latency_report(traces: Sequence) -> LatencyReport:
     hit = [f + 1 for f in firsts if f is not None]  # latency in slots, 1-based
     report_windows: dict[int, tuple[float | None, int]] = {}
     # Deliveries within the first w slots, per pair; the mean is over pairs with any.
-    hits = np.stack([t.delivered[:max(LATENCY_WINDOWS)] for t in traces]).cumsum(axis=1)
+    hits = _delivery_counts(traces, max(LATENCY_WINDOWS))
     for w in LATENCY_WINDOWS:
         if w <= hits.shape[1]:
             counts = [c for c in hits[:, w - 1].tolist() if c]

@@ -69,20 +69,20 @@ class SassReceiver:
     """Self-adaptive receiver: rotating search, then offset calibration.
 
     Searching plays shift(mu, n) in frame n.  The first delivery (frame f0,
-    channel alpha) settles at the end of f0 which case holds:
+    channel alpha) fixes tau2, the other in-frame slot carrying alpha; the
+    end of f0 settles which case holds and builds the probe plan, a tuple of
+    (offset, vouching frame) entries:
 
-    * alpha = N'-1: the sender is f0 or f0+N' away (case 2);
-    * delivery also seen at tau2, the other in-frame slot carrying alpha:
-      offsets agree, commit f0 at once (case 1);
+    * alpha = N'-1, the sender is f0 or f0+N' away (case 2):
+      ((f0, f0), (f0+N', f0+1));
+    * delivery also seen at tau2, the offsets agree (case 1): ((f0, f0),);
     * otherwise the sender is alpha+1 away in one direction or the other
-      (case 3).
+      (case 3): ((f0+alpha+1, f0+1), (f0-alpha-1, f0+2)).
 
-    Cases 2 and 3 hold two candidate offsets, each with the frame whose
-    deliveries vouch for it (`_candidates`); each frame after f0 plays its
-    candidate, and the end of the last one commits the candidate with more
-    deliveries, the first on a tie.  The committed offset is frozen
-    permanently; there is no re-calibration.  `sb` counts deliveries per
-    frame up to the commit.
+    Each frame after f0 plays the entry it vouches for; the end of the plan's
+    last vouching frame commits the entry with the most deliveries, the first
+    on a tie.  The committed offset is frozen permanently; there is no
+    re-calibration.  `sb` counts deliveries per frame up to the commit.
     """
 
     def __init__(self, ess: EssSequence):
@@ -94,24 +94,17 @@ class SassReceiver:
         self.case: int | None = None
         self.committed_offset: int | None = None
         self.sb: dict[int, int] = {}
+        self._tau2: int | None = None
         self._tau2_hit = False
+        self._plan: tuple[tuple[int, int], ...] = ()
         self._slot = 0
         self._pending_channel: int | None = None
-
-    def _candidates(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Case 2 or 3's (offset, vouching frame) pairs, the tie winner first."""
-        f0, _, alpha = self.first_delivery
-        if self.case == 2:
-            return (f0, f0), (f0 + self._n_eff, f0 + 1)
-        return (f0 + alpha + 1, f0 + 1), (f0 - alpha - 1, f0 + 2)
 
     def _offset(self) -> int:
         if self.committed_offset is not None:
             return self.committed_offset
         frame = self._slot // self._period
-        if self.case is None:
-            return frame
-        return next(offset for offset, vouch in self._candidates() if vouch == frame)
+        return next((offset for offset, vouch in self._plan if vouch == frame), frame)
 
     def frame(self) -> tuple[int, int | None]:
         """(index, left): the next slot plays values[index], and the slots after it
@@ -151,40 +144,34 @@ class SassReceiver:
         self._slot += count
         if self.committed_offset is not None or idle:
             return
+        values, period = self._values, self._period
         if hits:
             hits = [in_frame + k for k in hits]
             self.sb[frame] = self.sb.get(frame, 0) + len(hits)
-            if self.case is None:
-                if self.first_delivery is None:
-                    channel = self._values[(hits[0] + frame) % self._period]
-                    self.first_delivery = (frame, hits[0], channel)
-                self._tau2_hit |= self._tau2() in hits
-        if self._slot % self._period == 0:
-            self._end_of_frame(frame)
-
-    def _tau2(self) -> int:
-        """The other in-frame slot of frame f0 that carries alpha: the two copies
-        of value k sit k+1 apart in the base sequence."""
-        f0, slot, alpha = self.first_delivery
-        twin = (slot + alpha + 1) % self._period
-        if self._values[(twin + f0) % self._period] != alpha:
-            twin = (slot - alpha - 1) % self._period
-        return twin
-
-    def _end_of_frame(self, frame: int) -> None:
-        f0, _, alpha = self.first_delivery
-        if self.case is None:
-            self.case = 2 if alpha == self._n_eff - 1 else 1 if self._tau2_hit else 3
-            if self.case == 1:
-                self._commit(f0)
+            if self.first_delivery is None:
+                slot = hits[0]
+                alpha = values[(slot + frame) % period]
+                self.first_delivery = (frame, slot, alpha)
+                # The two copies of value k sit k+1 apart in the base sequence.
+                self._tau2 = (slot + alpha + 1) % period
+                if values[(self._tau2 + frame) % period] != alpha:
+                    self._tau2 = (slot - alpha - 1) % period
+            if not self._plan:
+                self._tau2_hit |= self._tau2 in hits
+        if self._slot % period:
             return
-        (first, first_frame), (second, second_frame) = self._candidates()
-        if frame == second_frame:
+        if not self._plan:
+            f0, _, alpha = self.first_delivery
+            self.case = 2 if alpha == self._n_eff - 1 else 1 if self._tau2_hit else 3
+            self._plan = {
+                1: ((f0, f0),),
+                2: ((f0, f0), (f0 + self._n_eff, f0 + 1)),
+                3: ((f0 + alpha + 1, f0 + 1), (f0 - alpha - 1, f0 + 2)),
+            }[self.case]
+        if frame == self._plan[-1][1]:
             sb = self.sb.get
-            self._commit(first if sb(first_frame, 0) >= sb(second_frame, 0) else second)
-
-    def _commit(self, offset: int) -> None:
-        self.committed_offset = offset % self._period
+            offset, _ = max(self._plan, key=lambda entry: sb(entry[1], 0))
+            self.committed_offset = offset % period
 
 
 class CssReceiver(_FixedNode):

@@ -430,7 +430,7 @@ def pu_parameters(pu_percent: float, n_channels: int, busy_len: int = 400) -> tu
     if pu_percent == 0.0:
         return 0, 1.0
     frac = pu_percent / 100.0
-    x = math.ceil(frac * n_channels - 1e-9)
+    x = max(1, math.ceil(frac * n_channels - 1e-9))  # any load occupies a channel
     duty = frac * n_channels / x
     # Idle >= 1 slot caps duty at b/(b+1); the shortfall is negligible for
     # long busy periods.

@@ -152,10 +152,10 @@ class ChannelPlan:
 def make_channel_plan(n_channels: int, mode: str = "padding") -> ChannelPlan:
     """Normalize a physical channel count to the nearest admissible N'.
 
-    Padding picks the smallest N' >= N, downsizing the largest N' <= N
-    (always at most 2 away).  One channel, or two or three downsized, land
-    on a degenerate N' (1) that `ess_for_channel_count` refuses; the plan
-    itself allows it.
+    Padding picks the smallest N' >= N, downsizing the largest N' <= N:
+    N % 4 == 2 pads by 2 or drops 1, N % 4 == 3 pads by 1 or drops 2.  One
+    channel, or two or three downsized, land on a degenerate N' (1) that
+    `ess_for_channel_count` refuses; the plan itself allows it.
     """
     if not isinstance(n_channels, numbers.Integral) or isinstance(n_channels, bool):
         raise TypeError(f"channel count must be an integer, got {n_channels!r}")
@@ -164,21 +164,10 @@ def make_channel_plan(n_channels: int, mode: str = "padding") -> ChannelPlan:
         raise ValueError(f"channel count must be >= 1, got {n_channels}")
     if mode not in ("padding", "downsizing"):
         raise ValueError(f"mode must be 'padding' or 'downsizing', got {mode!r}")
-    if mode == "padding":
-        n_eff = n_channels
-        while n_eff % 4 not in (0, 1):
-            n_eff += 1
-        alias = tuple(range(n_channels)) + tuple(i - n_channels for i in range(n_channels, n_eff))
-    else:
-        n_eff = n_channels
-        while n_eff >= 1 and n_eff % 4 not in (0, 1):
-            n_eff -= 1
-        if n_eff < 1:
-            raise ValueError(f"no admissible effective count below {n_channels}")
-        alias = tuple(range(n_eff))
-    return ChannelPlan(
-        physical_count=n_channels, effective_count=n_eff, mode=mode, alias=alias
-    )
+    pad, drop = {0: (0, 0), 1: (0, 0), 2: (2, 1), 3: (1, 2)}[n_channels % 4]
+    n_eff = n_channels + pad if mode == "padding" else n_channels - drop
+    alias = tuple(i % n_channels for i in range(n_eff))
+    return ChannelPlan(physical_count=n_channels, effective_count=n_eff, mode=mode, alias=alias)
 
 
 @functools.lru_cache(maxsize=None, typed=True)

@@ -6,6 +6,7 @@ one) so the determinism criterion also covers worker-count independence.
 """
 
 import csv
+import math
 import time
 from pathlib import Path
 
@@ -19,7 +20,8 @@ from skolemhop.hopping import (
     check_slot_counts,
     drift_channel_table,
 )
-from skolemhop.simenv import SimConfig, run
+from skolemhop.metrics import rho_sample_points
+from skolemhop.simenv import SimConfig, pu_parameters, run
 from skolemhop.skolem import (
     construct_skolem,
     ess_for_channel_count,
@@ -31,6 +33,7 @@ from test_skolem import enumerate_skolem, independent_check
 CHANNEL_MAP_SWEEP = (4, 5, 8, 9, 12, 13)
 PROTOCOL_SWEEP = (4, 5, 8, 9)
 FIG2_N_EFF = 12
+FIG2_PAIRS = 1000
 PU_LEVELS = (0, 25, 50, 75)
 
 
@@ -134,14 +137,17 @@ def test_criterion_5_calibration_soundness(protocol_sweep):
     report(5, "calibration soundness (PU-free)", not bad, f"{bad[:3]}")
 
 
-def _final_rho(out_dir: Path, pu: int) -> dict[str, float]:
-    values = {}
+def _rho_rows(out_dir: Path, pu: int, protocol: str) -> list[tuple[int, float, float]]:
+    """(t, rho_mean, standard error) of one protocol's rows in rho_pu{pu}.csv."""
     with open(out_dir / f"rho_pu{pu}.csv") as fh:
-        for row in csv.DictReader(fh):
-            t = int(row["t"])
-            if t == 1000:
-                values[row["protocol"]] = float(row["rho_mean"])
-    return values
+        return [(int(row["t"]), float(row["rho_mean"]),
+                 float(row["rho_stddev"]) / math.sqrt(FIG2_PAIRS))
+                for row in csv.DictReader(fh) if row["protocol"] == protocol]
+
+
+def _final_rho(out_dir: Path, pu: int) -> dict[str, float]:
+    return {proto: mean for proto in ("sass", "rch", "css")
+            for t, mean, _ in _rho_rows(out_dir, pu, proto) if t == 1000}
 
 
 def test_criterion_6_delivery_rate_reproduction(fig2_outputs):
@@ -226,3 +232,60 @@ def test_criterion_9_determinism(fig2_outputs):
         (out_a / name).read_bytes() == (out_b / name).read_bytes() for name in names
     )
     report(9, "determinism (byte-identical reruns)", same, f"{len(names)} files")
+
+
+# Closed-form expectations: an oracle for the results that does not rest on
+# their own digests.  Each preset mean must lie within 4 standard errors of it.
+
+
+def _z_outliers(rows, expected) -> list[tuple[int, float, float]]:
+    """Rows off expected(t) by more than 4 standard errors, give or take the
+    CSV's 9 significant digits (a row with no spread must match outright)."""
+    return [(t, mean, expected(t)) for t, mean, se in rows
+            if abs(mean - expected(t)) > 4 * se + 1e-9]
+
+
+def test_baselines_match_free_channel_share(fig2_outputs):
+    # A pair meets on one slot in N', on average over the drift (css) or by
+    # chance (rch), and a share 1 - pu/100 of the channel-slots is PU-free.
+    out_a, _, _ = fig2_outputs
+    bad = {}
+    for pu in PU_LEVELS:
+        expected = (1.0 - pu / 100.0) / FIG2_N_EFF
+        for proto in ("rch", "css"):
+            rows = [row for row in _rho_rows(out_a, pu, proto) if row[0] in (200, 500, 1000)]
+            assert len(rows) == 3
+            if outliers := _z_outliers(rows, lambda t: expected):
+                bad[(proto, pu)] = outliers
+    assert not bad, bad
+
+
+def test_sass_pu_free_matches_residue_mean(fig2_outputs):
+    # PU-free, a trace depends on the drift only through d mod P; the drift is
+    # uniform over 2N'^2 = N' * P slots, so every residue is equally likely.
+    out_a, _, _ = fig2_outputs
+    period = 2 * FIG2_N_EFF
+    residues = [run(SimConfig(n_channels=FIG2_N_EFF, protocol="sass", drift=d, horizon=1000))[0]
+                for d in range(period)]
+    counts = np.cumsum([trace.delivered for trace in residues], axis=1).mean(axis=0)
+    rows = _rho_rows(out_a, 0, "sass")
+    assert [row[0] for row in rows] == rho_sample_points(1000)
+    outliers = _z_outliers(rows, lambda t: counts[t - 1] / t)
+    assert not outliers, outliers[:5]
+
+
+@pytest.mark.parametrize("pu", PU_LEVELS)
+def test_sass_delivers_every_free_slot_after_commit(pu):
+    # Once synced, sender and receiver share each channel: a slot delivers
+    # exactly when no primary user blocks it.  The latest commit ends f0 + 2.
+    x, idle = pu_parameters(pu, FIG2_N_EFF)
+    config = SimConfig(n_channels=FIG2_N_EFF, protocol="sass", pu_channels=x, idle_mean=idle,
+                       horizon=1000, pairs=200, seed=pu)
+    period, synced, violations = 2 * FIG2_N_EFF, 0, 0
+    for trace in run(config):
+        if trace.committed_offset is None or trace.missync:
+            continue
+        synced += 1
+        tail = slice((trace.first_delivery // period + 3) * period, None)
+        violations += int((trace.delivered[tail] == trace.pu_blocked[tail]).sum())
+    assert synced >= 190 and violations == 0, (synced, violations)

@@ -523,6 +523,13 @@ class TestExperimentCommand:
         assert result.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "out" / "rho_pu25.csv").exists()
 
+    def test_tiny_pu_runs(self, tmp_path, capsys):
+        spec_path = tmp_path / "tiny.spec"
+        spec_path.write_text(TINY_SPEC)
+        out_dir = tmp_path / "out"
+        assert run_cli(["experiment", str(spec_path), "--pu", "1e-9", "--out", str(out_dir)]) == 0
+        assert (out_dir / "rho_pu1e-09.csv").exists()
+
     def test_empty_spec_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "empty.spec"
         spec_path.write_text("")

@@ -265,6 +265,13 @@ class TestPuParameters:
         got = nominal_intensity(x, n, 400, idle)
         assert abs(got - pu) < 1.0
 
+    @pytest.mark.parametrize("pu,n", [(1e-9, 10), (1e-12, 4), (1e-6, 12)])
+    def test_tiny_load_occupies_one_channel(self, pu, n):
+        # pu * N / 100 <= 1e-9 once rounded to zero channels and divided by it.
+        x, idle = pu_parameters(pu, n, busy_len=400)
+        assert x == 1
+        assert nominal_intensity(x, n, 400, idle) == pytest.approx(pu, rel=1e-9)
+
     def test_solver_inverts_closed_form(self):
         for target in (1.5, 4.0, 26.7, 120.0):
             l = solve_idle_mean(target)

@@ -77,6 +77,16 @@ def independent_check(values, zero_based=False):
     return True
 
 
+def search_channel_plan(n: int, mode: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(N', alias, discarded) by stepping N' one channel at a time (oracle)."""
+    n_eff = n
+    while n_eff % 4 not in (0, 1):
+        n_eff += 1 if mode == "padding" else -1
+    if mode == "padding":
+        return n_eff, tuple(range(n)) + tuple(i - n for i in range(n, n_eff)), ()
+    return n_eff, tuple(range(n_eff)), tuple(range(n_eff, n))
+
+
 class TestVerify:
     def test_order3_example(self):
         assert verify_skolem([3, 1, 2, 1, 3, 2])
@@ -206,6 +216,13 @@ class TestChannelPlan:
         plan = make_channel_plan(n, "downsizing")
         assert plan.effective_count % 4 in (0, 1)
         assert n - plan.effective_count in (0, 1, 2)
+
+    @pytest.mark.parametrize("mode", ["padding", "downsizing"])
+    def test_closed_form_matches_search(self, mode):
+        for n in range(1, 1001):
+            plan = make_channel_plan(n, mode)
+            got = (plan.effective_count, plan.alias, plan.discarded)
+            assert got == search_channel_plan(n, mode), n
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
