@@ -38,6 +38,7 @@ RECORD_BLOCK = 1000  # slots per block of NDJSON records
 PREROLL_BLOCK = 1 << 16  # most draws of an rch pre-roll held at once
 SEED_BLOCK = 256  # pair indices per block of seed states
 _MASK = 0xFFFFFFFF
+MAX_IDLE_MEAN = 1e300  # keeps idle draws and solve_idle_mean's 2T + 1 finite
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ class SimConfig:
             raise ValueError("pu_channels must be within [0, n_channels]")
         if self.busy_len < 1:
             raise ValueError("busy_len must be >= 1")
-        if not 0 < self.idle_mean < math.inf:
-            raise ValueError("idle_mean must be positive and finite")
+        if not 0 < self.idle_mean <= MAX_IDLE_MEAN:
+            raise ValueError(f"idle_mean must be within (0, {MAX_IDLE_MEAN:g}]")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.pairs < 1:
@@ -198,8 +199,9 @@ class PuTraffic:
         for ch in self.occupied:
             col = self.rows[:, ch]
             # Draws: the first idle length, the phase, then one idle length per busy period.
+            # A first cycle past int64 (never over within a horizon) draws a phase below 2**63.
             first_idle = max(1, int(rng.exponential(idle_mean) + 0.5))
-            phase = int(rng.integers(0, busy_len + first_idle))
+            phase = int(rng.integers(0, min(busy_len + first_idle, 2**63)))
             col[:max(busy_len - phase, 0)] = True  # the rest of a first busy period
             pos = busy_len + first_idle - phase
             while pos < horizon:
@@ -435,6 +437,8 @@ def pu_parameters(pu_percent: float, n_channels: int, busy_len: int = 400) -> tu
     # Idle >= 1 slot caps duty at b/(b+1); the shortfall is negligible for
     # long busy periods.
     target_idle = busy_len * (1.0 - duty) / duty if duty < 1.0 else 0.0
+    if target_idle > MAX_IDLE_MEAN:
+        raise ValueError(f"pu_percent {pu_percent:g} needs an idle mean above {MAX_IDLE_MEAN:g}")
     return x, solve_idle_mean(target_idle)
 
 

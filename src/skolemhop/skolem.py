@@ -86,12 +86,33 @@ class EssSequence:
 def _fill_search(n: int) -> tuple[int, ...] | None:
     """Deterministic backtracking: values descending into the leftmost empty slot.
 
-    `free` is a bitmask of the empty slots.  A branch is cut as soon as some
-    unused value k has no two free slots k+1 apart; such a branch has no
-    completion, so the first solution found is the same as without the cut.
+    `free` is a bitmask of the empty slots.  This branching finds the
+    lexicographically greatest sequence first; `feasible` cuts only states
+    with no completion: an unused value j with no placement `m` (free slots p
+    and p + j + 1), a free slot in no placement, or a clash of forced values
+    (one placement each).  It places forced values and repeats until stable.
     """
     size = 2 * n
     seq = [0] * size
+
+    def feasible(free: int, unused: list[int]) -> bool:
+        while True:
+            cover = forced = 0
+            left = []
+            for j in unused:
+                m = free & free >> (j + 1)
+                pair = m | m << (j + 1)
+                if m & (m - 1):
+                    left.append(j)
+                elif not m or forced & pair:
+                    return False
+                else:
+                    forced |= pair
+                cover |= pair
+            if cover != free or not forced:
+                return cover == free
+            free ^= forced
+            unused = left
 
     def place(free: int, unused: list[int]) -> bool:
         if not free:
@@ -102,7 +123,7 @@ def _fill_search(n: int) -> tuple[int, ...] | None:
             if free >> q & 1:
                 rest = free ^ (1 << p) ^ (1 << q)
                 others = [j for j in unused if j != k]
-                if all(rest & rest >> (j + 1) for j in others) and place(rest, others):
+                if feasible(rest, others) and place(rest, others):
                     seq[p] = seq[q] = k
                     return True
         return False
@@ -111,7 +132,7 @@ def _fill_search(n: int) -> tuple[int, ...] | None:
 
 
 def construct_skolem(n: int) -> tuple[int, ...]:
-    """The order-n values, for any order n with n % 4 in (0, 3).
+    """The lexicographically greatest order-n values, for n % 4 in (0, 3).
 
     A pruned backtracking search (see `_fill_search`); the result is
     validated by whoever wraps it (`EssSequence`, or `sequence --order`).

@@ -530,6 +530,32 @@ class TestExperimentCommand:
         assert run_cli(["experiment", str(spec_path), "--pu", "1e-9", "--out", str(out_dir)]) == 0
         assert (out_dir / "rho_pu1e-09.csv").exists()
 
+    @pytest.mark.parametrize("load", [["--pu", "1e-15"], ["--pu", "1e-200"]])
+    def test_tinier_pu_runs(self, tmp_path, capsys, load):
+        # Idle draws reach past 2**63 slots, so the phase draw must not overflow int64.
+        out_dir = tmp_path / "out"
+        args = ["experiment", "--preset", "latency", "--pairs", "2", "--out", str(out_dir)]
+        assert run_cli(args + load) == 0
+        assert (out_dir / f"rho_pu{float(load[1]):g}.csv").exists()
+
+    def test_huge_raw_idle_runs(self, tmp_path, capsys):
+        spec_path = tmp_path / "idle.spec"
+        spec_path.write_text(TINY_SPEC + "\n[variation]\nname = idle\noccupied = 4\n"
+                             "idle = 1e300\n")
+        assert run_cli(["experiment", str(spec_path), "--out", str(tmp_path / "out")]) == 0
+        assert "idle: protocol=sass" in capsys.readouterr().out
+
+    def test_unrepresentable_pu_refused_before_work(self, tmp_path, capsys):
+        # pu 1e-305 % at 12 channels needs an idle mean that overflows a float.
+        out_dir = tmp_path / "out"
+        code = run_cli(["experiment", "--preset", "latency", "--pu", "1e-305", "--pairs", "2",
+                        "--out", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "variation sass-latency: pu_percent 1e-305 needs an idle mean" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_empty_spec_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "empty.spec"
         spec_path.write_text("")
@@ -640,6 +666,7 @@ class TestExperimentCommand:
         "setting",
         ["pu = 150", "pairs = 0", "plan = bogus", "protocol = foo", "channels = 0",
          "pu = 25\nchannels = 0", "occupied = 2\nidle = inf", "occupied = 2\nidle = nan",
+         "occupied = 2\nidle = 1e301",
          "plan = downsize", "channels = 1", "channels = 3\nplan = downsizing"],
     )
     def test_bad_variation_rejected_before_work(self, tmp_path, capsys, setting):

@@ -27,6 +27,10 @@ ADMISSIBLE_ORDERS_BELOW_64 = [n for n in range(1, 64) if n % 4 in (0, 3)]
 # pins the constructed sequences (order 11 is the presets' N' = 12).
 SEQUENCE_DIGEST_ORDERS = [n for n in ADMISSIBLE_ORDERS_BELOW_64 if n != 31]
 SEQUENCE_DIGEST = "eaafd226118383937767a473f8eb1e1f98cc1cb5de3f72066681e74c333e826c"
+# The same pin for order 31 and the admissible orders 64..79 (about 0.6 s on
+# a 2-core VM); taken before the search gained its forced-placement cut.
+LARGE_DIGEST_ORDERS = [31] + [n for n in range(64, 80) if n % 4 in (0, 3)]
+LARGE_DIGEST = "8167b6b8aa20eb084aa52b3c7a55773216cf4e9cec590a77d0642c71db7ad044"
 
 
 def enumerate_skolem(n: int) -> Iterator[tuple[int, ...]]:
@@ -149,9 +153,18 @@ class TestConstruct:
         solutions = set(enumerate_skolem(n))
         assert construct_skolem(n) in solutions
 
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 11])
+    def test_lexicographically_greatest(self, n):
+        # The search's specification; order 11 has 35 584 solutions (~2 s).
+        assert construct_skolem(n) == max(enumerate_skolem(n))
+
     def test_sequence_digest(self):
         values = [construct_skolem(n) for n in SEQUENCE_DIGEST_ORDERS]
         assert hashlib.sha256(repr(values).encode()).hexdigest() == SEQUENCE_DIGEST
+
+    def test_large_order_digest(self):
+        values = [construct_skolem(n) for n in LARGE_DIGEST_ORDERS]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == LARGE_DIGEST
 
     def test_deterministic(self):
         assert construct_skolem(12) == construct_skolem(12)
