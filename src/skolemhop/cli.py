@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import hopping
+from .protocol import PROTOCOLS
 from .skolem import (
     construct_skolem,
     ess_for_channel_count,
@@ -44,11 +45,6 @@ CHUNK_PAIRS = 50  # pairs per pool task, whatever --workers is
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
 EXIT_USAGE = 2
-
-_SUMMARY_HEADER = (
-    "name", "protocol", "pu_level", "pairs", "horizon",
-    "rho_final", "missync_rate", "committed", "first_mean", "undelivered",
-)
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,7 @@ _KEYS = {
     "drift": (_parse_drift, "uniform"),
 }
 _GLOBAL_KEYS = {"seed", "out", "pairs", "horizon", "channels", "plan", "busy", "drift"}
-_VARIATION_KEYS = set(_KEYS) - {"seed", "out"}
+_VARIATION_KEYS = tuple(key for key in _KEYS if key not in ("seed", "out"))
 
 
 # Variation names become output file names, so they may not carry a path.
@@ -176,11 +172,10 @@ def render_experiment_spec(spec: ExperimentSpec) -> str:
     ]
     for v in spec.variations:
         lines.append("[variation]")
-        for key, value in vars(v).items():
-            if key == "drift" and value is None:
-                value = "uniform"
-            if value is not None:
-                lines.append(f"{key} = {value}")
+        for key in _VARIATION_KEYS:  # unset: the default's text, if there is one
+            value = getattr(v, key)
+            if (text := _KEYS[key][1] if value is None else value) is not None:
+                lines.append(f"{key} = {text}")
         lines.append("")
     return "\n".join(lines)
 
@@ -192,12 +187,11 @@ def preset(name: str) -> ExperimentSpec:
     intensities 0/25/50/75% (12 channels, 1000 pairs, 1000 slots).
     latency: first-delivery and windowed latency scenarios at PU 25%.
     """
-    protocols = ("sass", "rch", "css")
     if name == "delivery-rate":
-        blocks = [f"protocol = {p}\npu = {pu}" for pu in (0, 25, 50, 75) for p in protocols]
+        blocks = [f"protocol = {p}\npu = {pu}" for pu in (0, 25, 50, 75) for p in PROTOCOLS]
     elif name == "latency":
         blocks = [
-            f"name = {p}-latency\nprotocol = {p}\npu = 25\nhorizon = 200" for p in protocols
+            f"name = {p}-latency\nprotocol = {p}\npu = 25\nhorizon = 200" for p in PROTOCOLS
         ]
     else:
         raise SpecError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
@@ -391,7 +385,7 @@ def _cmd_experiment(args) -> int:
         metrics.write_rho_csv(out_dir / f"rho_pu{pu_label}.csv", rows)
     if summary_rows:  # one latency row and one summary row per variation that ran
         metrics.write_latency_csv(out_dir / "latency.csv", latency_rows)
-        metrics.write_csv(out_dir / "summary.csv", _SUMMARY_HEADER, summary_rows)
+        metrics.write_summary_csv(out_dir / "summary.csv", summary_rows)
     return EXIT_RUN_FAILURE if failures else EXIT_OK
 
 
@@ -502,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--pairs", type=int, help="override pairs per variation")
     p_exp.add_argument("--horizon", type=int, help="override horizon slots")
     p_exp.add_argument("--pu", type=float, help="override PU intensity percent")
-    p_exp.add_argument("--protocol", choices=("sass", "rch", "css"),
+    p_exp.add_argument("--protocol", choices=PROTOCOLS,
                        help="override the protocol of every variation")
     p_exp.add_argument("--channels", type=int, help="override channel count")
     p_exp.add_argument("--downsize", action="store_true",

@@ -5,11 +5,11 @@ slots that delivered, and windowed average delivery latency, defined as
 T divided by the number of deliveries within the first T slots (the mean
 inter-delivery interval).  Windows with zero deliveries are reported as
 undefined and excluded from cross-pair means rather than silently padded.
+Each CSV file is a header and one `%` template per row (`.9g` floats, None empty).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,7 +23,7 @@ __all__ = [
     "rho_series",
     "latency_report",
     "missync_rate",
-    "write_csv",
+    "write_summary_csv",
     "write_rho_csv",
     "write_latency_csv",
 ]
@@ -115,29 +115,28 @@ def missync_rate(traces: Sequence) -> float:
     return sum(flags) / len(flags) if flags else 0.0
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".9g")
-    return value
-
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """One header row, then each row with floats as `.9g` and None as empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(value) for value in row] for row in rows)
+def _nullable(value: float | None) -> str:
+    return "" if value is None else format(value, ".9g")
 
 
 def write_rho_csv(path, rows: Iterable[tuple]) -> None:
-    """Rows: (protocol, pu_level, t, rho_mean, rho_stddev), as `write_csv` writes them."""
+    """Rows: (protocol, pu_level, t, rho_mean, rho_stddev)."""
     with open(path, "w", newline="") as fh:
         fh.write("protocol,pu_level,t,rho_mean,rho_stddev\r\n")
         fh.writelines("%s,%s,%d,%.9g,%.9g\r\n" % row for row in rows)
 
 
 def write_latency_csv(path, rows: Iterable[tuple]) -> None:
-    """Rows: (protocol, pu_level, window, latency_mean, undefined_count)."""
-    write_csv(path, ("protocol", "pu_level", "window", "latency_mean", "undefined_count"), rows)
+    """Rows: (protocol, pu_level, window, latency_mean or None, undefined_count)."""
+    with open(path, "w", newline="") as fh:
+        fh.write("protocol,pu_level,window,latency_mean,undefined_count\r\n")
+        fh.writelines("%s,%s,%s,%s,%d\r\n" % (*head, _nullable(mean), n) for *head, mean, n in rows)
+
+
+def write_summary_csv(path, rows: Iterable[tuple]) -> None:
+    """One row per variation, in the header's order; first_mean may be None."""
+    with open(path, "w", newline="") as fh:
+        fh.write("name,protocol,pu_level,pairs,horizon,"
+                 "rho_final,missync_rate,committed,first_mean,undelivered\r\n")
+        fh.writelines("%s,%s,%s,%d,%d,%.9g,%.9g,%d,%s,%d\r\n" % (*head, _nullable(first), n)
+                      for *head, first, n in rows)

@@ -81,7 +81,7 @@ class SimConfig:
 
 @dataclass
 class SimTrace:
-    """Per-slot records and the end-of-run summary for one pair."""
+    """Per-slot records and the end-of-run summary for one pair; pickled as a plain dataclass."""
 
     pair_index: int
     protocol: str
@@ -97,21 +97,6 @@ class SimTrace:
     @property
     def horizon(self) -> int:
         return len(self.delivered)
-
-    def __reduce__(self):
-        # One buffer for the four per-slot arrays halves a trace's pickle round trip.
-        arrays = [self.sender_channel, self.receiver_channel, self.pu_blocked, self.delivered]
-        scalars = (self.pair_index, self.protocol, self.drift,
-                   self.first_delivery, self.committed_offset, self.missync)
-        return _unpickle_trace, (scalars, [a.dtype for a in arrays], bytearray().join(arrays))
-
-
-def _unpickle_trace(scalars, dtypes, buffer) -> SimTrace:
-    sizes = [d.itemsize for d in dtypes]
-    horizon = len(buffer) // sum(sizes)
-    arrays = [np.frombuffer(buffer, d, horizon, horizon * sum(sizes[:i]))
-              for i, d in enumerate(dtypes)]
-    return SimTrace(*scalars[:3], *arrays, *scalars[3:])
 
 
 def seed_words(seed: int, spawn_key: tuple, n_words: int) -> list:

@@ -8,6 +8,8 @@ one) so the determinism criterion also covers worker-count independence.
 import csv
 import math
 import time
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from skolemhop.simenv import SimConfig, pu_parameters, run
 from skolemhop.skolem import (
     construct_skolem,
     ess_for_channel_count,
+    make_channel_plan,
     verify_skolem,
 )
 
@@ -35,6 +38,7 @@ PROTOCOL_SWEEP = (4, 5, 8, 9)
 FIG2_N_EFF = 12
 FIG2_PAIRS = 1000
 PU_LEVELS = (0, 25, 50, 75)
+PADDED_SWEEP = (6, 7, 10, 11, 12)  # padded to N' = 8, 8, 12, 12, and one exact plan
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -258,6 +262,42 @@ def test_baselines_match_free_channel_share(fig2_outputs):
             if outliers := _z_outliers(rows, lambda t: expected):
                 bad[(proto, pu)] = outliers
     assert not bad, bad
+
+
+def _alias_share(n_channels: int) -> tuple[int, Fraction]:
+    """(N', sum over physical channels p of m_p^2 / N'^2), where m_p effective
+    channels alias p: the chance that two independent uniform effective
+    channels meet on one physical channel, 1/N' on an exact plan."""
+    plan = make_channel_plan(n_channels, "padding")
+    counts = Counter(plan.alias).values()
+    return plan.effective_count, Fraction(sum(m * m for m in counts), plan.effective_count ** 2)
+
+
+@pytest.mark.parametrize("n_channels", PADDED_SWEEP)
+def test_css_pu_free_matches_alias_share(n_channels):
+    # PU-free, at any slot the P drift residues put the sender on each
+    # effective channel twice (each occurs twice in the ESS), and each P-slot
+    # block of the css schedule is a rotation of the ESS: summed over the
+    # residues, the delivery share is exactly the alias share.
+    n_eff, share = _alias_share(n_channels)
+    period = 2 * n_eff
+    delivered = sum(
+        int(run(SimConfig(n_channels=n_channels, protocol="css", drift=d,
+                          horizon=period * period))[0].delivered.sum())
+        for d in range(period)
+    )
+    assert Fraction(delivered, period ** 3) == share
+
+
+@pytest.mark.parametrize("n_channels", PADDED_SWEEP)
+def test_rch_pu_free_matches_alias_share(n_channels):
+    # Each rch slot is an independent draw: deliveries are binomial with p = the alias share.
+    _, share = _alias_share(n_channels)
+    traces = run(SimConfig(n_channels=n_channels, protocol="rch", horizon=1000, pairs=200, seed=7))
+    hits, slots = sum(int(trace.delivered.sum()) for trace in traces), 200 * 1000
+    p = float(share)
+    z = (hits / slots - p) / math.sqrt(p * (1 - p) / slots)
+    assert abs(z) <= 4, z
 
 
 def test_sass_pu_free_matches_residue_mean(fig2_outputs):

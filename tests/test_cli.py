@@ -13,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from skolemhop import cli
+from skolemhop.protocol import PROTOCOLS
 
 
 def run_cli(args):
@@ -219,6 +220,12 @@ class TestParser:
             assert run_cli(args) == 0
             assert capsys.readouterr().out == out, args
         assert outputs[0] != outputs[1] and outputs[2] != outputs[3]
+
+    def test_protocol_choices_are_the_protocols(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        experiment = sub.choices["experiment"]
+        choices = next(a.choices for a in experiment._actions if a.dest == "protocol")
+        assert tuple(choices) == PROTOCOLS
 
 
 class TestProcessExit:
@@ -581,6 +588,15 @@ class TestExperimentCommand:
         assert run_cli(["experiment", "--dump-default"]) == 0
         text = capsys.readouterr().out
         assert "[variation]" in text
+
+    @pytest.mark.parametrize("preset,digest", [
+        ("delivery-rate", "8318208da270fe49691217638e921dc5f5c27b677501efaf0b780d8f8ab5cdb2"),
+        ("latency", "610885df5b85bde0ef89a14a36c5862f87adff5d16d977709137816f220b0f40"),
+    ])
+    def test_dump_default_pinned(self, capsys, preset, digest):
+        # sha256 of the full stdout: every key in `_KEYS` order, drift as `uniform`.
+        assert run_cli(["experiment", "--preset", preset, "--dump-default"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_dump_default_unwritable(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.spec"

@@ -4,10 +4,10 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
-from skolemhop import metrics
+from skolemhop import cli, metrics
 from skolemhop.protocol import PROTOCOLS
 from skolemhop.simenv import SimConfig, run
 
@@ -207,6 +207,38 @@ class TestBaselineRhoLevels:
         assert abs(series.mean[series.points.index(200)] - 0.125) < 0.04
 
 
+def _csv_text(value):
+    if value is None:
+        return ""
+    return format(value, ".9g") if isinstance(value, float) else value
+
+
+# Floats hypothesis might miss: the signed zero, the smallest subnormal, the non-finite.
+FLOATS = (st.sampled_from([-0.0, 5e-324, 1e300, float("nan"), float("inf"), -float("inf")])
+          | st.floats())
+NULLABLE = st.none() | FLOATS
+PU_LABEL = st.floats().map(lambda pu: f"{pu + 0.0:g}")
+COUNT = st.integers(0, 10**9)
+# Each CSV file: its writer, its header and a strategy for its rows.
+CSV_FILES = {
+    "rho": (metrics.write_rho_csv, ("protocol", "pu_level", "t", "rho_mean", "rho_stddev"),
+            st.tuples(st.sampled_from(PROTOCOLS), PU_LABEL, st.integers(1, 10**9), FLOATS, FLOATS)),
+    "latency": (
+        metrics.write_latency_csv,
+        ("protocol", "pu_level", "window", "latency_mean", "undefined_count"),
+        st.tuples(st.sampled_from(PROTOCOLS), PU_LABEL,
+                  st.sampled_from(["first", *map(str, metrics.LATENCY_WINDOWS)]), NULLABLE, COUNT),
+    ),
+    "summary": (
+        metrics.write_summary_csv,
+        ("name", "protocol", "pu_level", "pairs", "horizon",
+         "rho_final", "missync_rate", "committed", "first_mean", "undelivered"),
+        st.tuples(st.from_regex(cli._NAME_PATTERN, fullmatch=True), st.sampled_from(PROTOCOLS),
+                  PU_LABEL, COUNT, COUNT, FLOATS, FLOATS, COUNT, NULLABLE, COUNT),
+    ),
+}
+
+
 class TestCsv:
     def test_rho_csv_roundtrip(self, tmp_path):
         path = tmp_path / "rho.csv"
@@ -218,21 +250,20 @@ class TestCsv:
         assert float(got[0]["rho_mean"]) == 0.5
         assert got[1]["pu_level"] == "25"
 
-    @given(rows=st.lists(st.tuples(
-        st.sampled_from(PROTOCOLS),
-        st.floats().map(lambda pu: f"{pu + 0.0:g}"),
-        st.integers(1, 10**9),
-        st.floats(),
-        st.floats(),
-    )))
-    @example(rows=[("sass", "0", 1, -0.0, 5e-324), ("css", "nan", 2, float("nan"), 1e300),
-                   ("rch", "inf", 3, float("inf"), -float("inf"))])
-    def test_rho_csv_matches_csv_writer(self, tmp_path_factory, rows):
-        # The one-template writer against csv.writer with `_fmt`: the same bytes.
-        directory = tmp_path_factory.mktemp("rho")
+    @pytest.mark.parametrize("name", CSV_FILES)
+    @given(data=st.data())
+    def test_writers_match_csv_writer(self, tmp_path_factory, name, data):
+        # Each one-template writer against csv.writer with `.9g` floats and
+        # None as empty: the same bytes.
+        write, header, row = CSV_FILES[name]
+        rows = data.draw(st.lists(row))
+        directory = tmp_path_factory.mktemp(name)
         fast, generic = directory / "fast.csv", directory / "generic.csv"
-        metrics.write_rho_csv(fast, rows)
-        metrics.write_csv(generic, ("protocol", "pu_level", "t", "rho_mean", "rho_stddev"), rows)
+        write(fast, rows)
+        with open(generic, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_csv_text(value) for value in row] for row in rows)
         assert fast.read_bytes() == generic.read_bytes()
 
     def test_latency_csv_undefined_blank(self, tmp_path):
