@@ -15,7 +15,6 @@ import atexit
 import functools
 import gc
 import os
-import pickle
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -252,6 +251,7 @@ class _ForkPool:
     """Forked children, one pipe each: child k runs chunks k, k + P, ... of every variation."""
 
     def __init__(self, configs: list[simenv.SimConfig], workers: int):
+        import pickle
         chunks = [(c, s, min(s + CHUNK_PAIRS, c.pairs))
                   for c in configs for s in range(0, c.pairs, CHUNK_PAIRS)]
         usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
@@ -280,6 +280,7 @@ class _ForkPool:
 
     def collect(self, config: simenv.SimConfig) -> list[simenv.SimTrace]:
         """The traces of config's chunks, or its first error once every chunk is read."""
+        import pickle
         traces, errors = [], []
         while self.owed and self.owed[-1][0] is config:
             pid, pipe = self.children[self.owed.pop()[1]]
@@ -447,13 +448,9 @@ def _cmd_theorems(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"effective channels: {n_eff} (period {ess.period})")
-    print(f"base sequence: {' '.join(map(str, ess.values))}")
-    print("drift -> delivery channel:")
-    for a, entry in enumerate(hopping.drift_channel_table(ess)):
-        print(f"  shift {a:3d}: {entry}")
     pairs = ess.period * ess.period
     ok = True
+    reports = []  # the checks run first, so that a traced checker times the table's one pass
     for label, checker in (
         ("delivery-channel map", hopping.check_channel_map),
         ("delivery-slot counts", hopping.check_slot_counts),
@@ -461,9 +458,15 @@ def _cmd_theorems(args) -> int:
         violations = checker(ess)
         status = "PASS" if not violations else "FAIL"
         ok = ok and not violations
-        print(f"{label} ({pairs} shift pairs): {status}")
-        for message in violations[:5]:
-            print(f"  {message}")
+        reports.append(f"{label} ({pairs} shift pairs): {status}\n")
+        reports += [f"  {message}\n" for message in violations[:5]]
+    sys.stdout.write("".join([
+        f"effective channels: {n_eff} (period {ess.period})\n",
+        f"base sequence: {' '.join(map(str, ess.values))}\n",
+        "drift -> delivery channel:\n",
+        *[f"  shift {a:3d}: {entry}\n" for a, entry in enumerate(hopping.drift_channel_table(ess))],
+        *reports,
+    ]))
     return EXIT_OK if ok else EXIT_RUN_FAILURE
 
 

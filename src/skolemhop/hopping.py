@@ -10,6 +10,7 @@ sequence, every shift pair through one pass over all P rotations of it.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 from .skolem import EssSequence
@@ -54,15 +55,17 @@ def canonical_drift(g_raw: int, period: int) -> int:
     return g - period if g > period // 2 else g
 
 
-def _coincidences(ess: EssSequence) -> list[list[int]]:
-    """hits[d] = [u[t] for every slot t with u[(t + d) % P] == u[t]]: all P x P cells compared.
+@functools.lru_cache(maxsize=1)  # `theorems` reads one sequence's table three times in a row
+def _coincidences(ess: EssSequence) -> tuple[tuple[int, ...], ...]:
+    """hits[d] = (u[t] for every slot t with u[(t + d) % P] == u[t]): all P x P cells compared.
 
     shift(u, a)[t] == shift(u, b)[t] iff rotation d = (a - b) % P meets u at (t + b) % P, so
     every shift pair (a, b) meets on the channels, and on as many slots, as its rotation d.
+    Every caller shares the cached table, so it is built of tuples.
     """
     u = ess.values
     doubled = u + u
-    return [[x for x, y in zip(u, doubled[d:]) if x == y] for d in range(len(u))]
+    return tuple(tuple([x for x, y in zip(u, doubled[d:]) if x == y]) for d in range(len(u)))
 
 
 def _pair_violations(ess: EssSequence, label: str, observed: list, expected: Callable) -> list[str]:

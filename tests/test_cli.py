@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from skolemhop import cli
+from skolemhop import cli, hopping
 from skolemhop.protocol import PROTOCOLS
+from skolemhop.skolem import EssSequence
 
 
 def run_cli(args):
@@ -198,6 +199,34 @@ class TestTheoremsCommand:
         limit = cli.THEOREMS_MAX_EFFECTIVE
         assert run_cli(["theorems", str(limit + 4)]) == 2
         assert f"at most {limit} effective channels" in capsys.readouterr().err
+
+    def test_one_pass_over_the_cells(self, capsys, monkeypatch):
+        # The drift table and both checks of one run read one P x P comparison of the cells
+        # u[(t + d) % P] == u[t]. Channels here count the comparisons made between two of them;
+        # one object per value, so that set and dict lookups compare by identity.
+        compared = []
+
+        class Channel(int):
+            def __eq__(self, other):
+                if type(other) is Channel:
+                    compared.append(1)
+                return int.__eq__(self, other)
+
+            __hash__ = int.__hash__
+
+        plain = cli.ess_for_channel_count(12)
+        channels = {v: Channel(v) for v in plain.values}
+        counted = EssSequence(plain.order, tuple(channels[v] for v in plain.values))
+        monkeypatch.setattr(cli, "ess_for_channel_count", lambda n_eff: counted)
+        # The plain sequence is an equal key, so its cached table would be served.
+        hopping._coincidences.cache_clear()
+        try:
+            assert run_cli(["theorems", "12"]) == 0
+        finally:
+            hopping._coincidences.cache_clear()
+        assert len(compared) == plain.period ** 2
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "41f7139a463cfdcea8210ca1a26ad256e6158ba77ad30028b363057ba2743ddc")
 
 
 class TestParser:
@@ -494,14 +523,16 @@ class TestExperimentCommand:
             assert (out_dir / name).read_text().splitlines() == expected
 
     def test_commands_without_simulation_leave_numpy_random_unloaded(self, tmp_path):
-        # Each in a fresh interpreter: only the simulating commands import numpy at all.
+        # Each in a fresh interpreter: only the simulating commands import numpy at all,
+        # and none of these imports pickle, which only the worker pool uses.
         empty_spec = tmp_path / "empty.spec"
         empty_spec.write_text("")
         script = (
             "import sys\n"
             "from skolemhop import cli\n"
             "code = cli.main(sys.argv[1:])\n"
-            "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+            "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules,\n"
+            "      'pickle' in sys.modules)\n"
         )
         for args, code in [
             (["theorems", "12"], 0),
@@ -513,7 +544,7 @@ class TestExperimentCommand:
         ]:
             result = run_python("-c", script, *args)
             assert result.returncode == 0, result.stderr
-            assert result.stdout.splitlines()[-1] == f"{code} False False", args
+            assert result.stdout.splitlines()[-1] == f"{code} False False False", args
 
     def test_pool_parent_leaves_pool_modules_and_numpy_random_unloaded(self, tmp_path):
         spec_path = tmp_path / "tiny.spec"

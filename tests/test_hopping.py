@@ -253,6 +253,20 @@ class TestRotationTableMatchesOracle:
         assert check_slot_counts(ess) == oracle_check_slot_counts(ess)
         assert outcome(drift_channel_table, ess) == outcome(oracle_drift_channel_table, ess)
 
+    def test_alternating_sequences_get_their_own_table(self):
+        # The checkers and the drift table share one cached table per sequence; alternating
+        # a valid and a broken sequence of one order, every call must see its own sequence.
+        bad = unchecked_ess((0, 0, 2, 1, 3, 1, 3, 2))
+        checks = [
+            (check_channel_map, oracle_check_channel_map),
+            (check_slot_counts, oracle_check_slot_counts),
+            (drift_channel_table, oracle_drift_channel_table),
+        ]
+        calls = [(ess, check) for ess in (ESS4, bad, ESS4) for check in checks]
+        calls += [(ess, check) for check in checks for ess in (bad, ESS4, bad)]
+        for ess, (func, oracle) in calls:
+            assert outcome(func, ess) == outcome(oracle, ess)
+
     def test_plain_ints_in_output(self):
         bad = unchecked_ess((0,) * 8)
         for result in (check_channel_map(bad), check_slot_counts(bad)):
