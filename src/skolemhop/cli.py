@@ -247,17 +247,31 @@ def _run_chunk(config: simenv.SimConfig, start: int, stop: int) -> list[simenv.S
     return simenv.run(config, pair_range=range(start, stop))
 
 
-class _ForkPool:
-    """Forked children, one pipe each: child k runs chunks k, k + P, ... of every variation."""
+def _chunk_result(chunk: tuple, records: bool):
+    """What a chunk hands back: its traces with --records, else their rows; or its error."""
+    from . import metrics
+    try:
+        traces = _run_chunk(*chunk)
+        return traces if records else metrics.pair_rows(traces)
+    except Exception as exc:  # noqa: BLE001 - fails its variation only
+        return exc
 
-    def __init__(self, configs: list[simenv.SimConfig], workers: int):
-        import pickle
+
+class _ChunkPool:
+    """Every variation's chunks, run here in order or, by P > 1 processes, in forked
+    children with one pipe each: child k runs chunks k, k + P, ... of every variation."""
+
+    def __init__(self, configs: list[simenv.SimConfig], workers: int, records: bool):
         chunks = [(c, s, min(s + CHUNK_PAIRS, c.pairs))
                   for c in configs for s in range(0, c.pairs, CHUNK_PAIRS)]
         usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
         processes = min(workers, usable or os.cpu_count() or 1, len(chunks))
-        self.owed = [(c[0], k % processes) for k, c in enumerate(chunks)][::-1]  # popped in order
+        self.records = records
+        self.owed = [(c, k % processes) for k, c in enumerate(chunks)][::-1]  # (chunk, child)
         self.children, self.lost = [], {}  # (pid, read end); pid -> the error its chunks get
+        if processes == 1:  # this process runs them, in collect
+            return
+        import pickle
         for k in range(processes):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:
@@ -266,11 +280,7 @@ class _ForkPool:
                         os.close(fd)
                     out = open(write, "wb")
                     for chunk in chunks[k::processes]:
-                        try:
-                            result = _run_chunk(*chunk)
-                        except Exception as exc:  # noqa: BLE001 - fails its variation only
-                            result = exc
-                        pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(_chunk_result(chunk, records), out, pickle.HIGHEST_PROTOCOL)
                         out.flush()
                     os._exit(0)
                 finally:  # never returns into the parent's code, whatever it raised
@@ -278,25 +288,28 @@ class _ForkPool:
             os.close(write)
             self.children.append((pid, open(read, "rb")))
 
-    def collect(self, config: simenv.SimConfig) -> list[simenv.SimTrace]:
-        """The traces of config's chunks, or its first error once every chunk is read."""
+    def collect(self, config: simenv.SimConfig):
+        """config's traces (--records) or rows, or its first error once every chunk is in."""
         import pickle
-        traces, errors = [], []
-        while self.owed and self.owed[-1][0] is config:
-            pid, pipe = self.children[self.owed.pop()[1]]
-            try:
-                result = self.lost.get(pid) or pickle.load(pipe)
-            except Exception:  # noqa: BLE001 - the stream ends here, and the child's chunks with it
-                pipe.close()
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                result = self.lost[pid] = ChildProcessError(f"worker exited with status {status}")
-            if isinstance(result, Exception):
-                errors.append(result)
+        from . import metrics
+        parts, errors = [], []
+        while self.owed and self.owed[-1][0][0] is config:
+            chunk, k = self.owed.pop()
+            if not self.children:
+                result = _chunk_result(chunk, self.records)
             else:
-                traces += result
+                pid, pipe = self.children[k]
+                try:
+                    result = self.lost.get(pid) or pickle.load(pipe)
+                except Exception:  # noqa: BLE001 - the stream ends, and its chunks with it
+                    pipe.close()
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    result = self.lost[pid] = ChildProcessError(
+                        f"worker exited with status {status}")
+            (errors if isinstance(result, Exception) else parts).append(result)
         if errors:
             raise errors[0]
-        return traces
+        return [t for part in parts for t in part] if self.records else metrics.join_rows(parts)
 
     def close(self) -> None:
         for pid, pipe in self.children:
@@ -305,9 +318,8 @@ class _ForkPool:
                 os.waitpid(pid, 0)
 
 
-def _run_variation(config: simenv.SimConfig, workers: int, pool) -> list[simenv.SimTrace]:
-    from . import simenv
-    return simenv.run(config) if pool is None else pool.collect(config)
+def _run_variation(config: simenv.SimConfig, workers: int, pool: _ChunkPool):
+    return pool.collect(config)
 
 
 def _cmd_experiment(args) -> int:
@@ -336,7 +348,7 @@ def _cmd_experiment(args) -> int:
     from . import metrics, simenv
 
     workers = max(1, args.workers) if hasattr(os, "fork") else 1
-    pool = _ForkPool([c for _, c, _ in resolved], workers) if workers > 1 else None
+    pool = _ChunkPool([c for _, c, _ in resolved], workers, args.records)
 
     rho_rows: dict[str, list[tuple]] = {}
     latency_rows: list[tuple] = []
@@ -345,14 +357,15 @@ def _cmd_experiment(args) -> int:
     try:
         for variation, config, pu_label in resolved:
             try:
-                traces = _run_variation(config, workers, pool)
+                result = _run_variation(config, workers, pool)
             except Exception as exc:  # noqa: BLE001 - variations fail independently
                 print(f"error: variation {variation.name}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            series = metrics.rho_series(traces)
-            report = metrics.latency_report(traces)
-            rate = metrics.missync_rate(traces)
+            pairs = metrics.pair_rows(result)  # the traces of --records, else already rows
+            series = metrics.rho_series(pairs)
+            report = metrics.latency_report(pairs)
+            rate = metrics.missync_rate(pairs)
             rows = rho_rows.setdefault(pu_label, [])
             rows.extend(
                 (variation.protocol, pu_label, t, m, s)
@@ -365,7 +378,7 @@ def _cmd_experiment(args) -> int:
                 (variation.protocol, pu_label, str(w), mean, undefined)
                 for w, (mean, undefined) in sorted(report.windows.items())
             )
-            committed = sum(1 for t in traces if t.committed_offset is not None)
+            committed = sum(m is not None for m in pairs.missync)
             summary_rows.append(
                 (variation.name, variation.protocol, pu_label, config.pairs, config.horizon,
                  series.final(), rate, committed, report.first_mean, report.undelivered)
@@ -377,10 +390,9 @@ def _cmd_experiment(args) -> int:
                 f"missync={rate:.4f} first={first}"
             )
             if args.records:
-                simenv.write_records(out_dir / f"{variation.name}.ndjson", traces)
+                simenv.write_records(out_dir / f"{variation.name}.ndjson", result)
     finally:
-        if pool is not None:
-            pool.close()
+        pool.close()
 
     for pu_label, rows in rho_rows.items():
         metrics.write_rho_csv(out_dir / f"rho_pu{pu_label}.csv", rows)

@@ -5,6 +5,9 @@ slots that delivered, and windowed average delivery latency, defined as
 T divided by the number of deliveries within the first T slots (the mean
 inter-delivery interval).  Windows with zero deliveries are reported as
 undefined and excluded from cross-pair means rather than silently padded.
+Both read per-pair rows (`pair_rows`): a chunk of traces reduces to its rows
+where it was simulated, and chunks joined in pair order report what their
+traces would.
 Each CSV file is a header and one `%` template per row (`.9g` floats, None empty).
 """
 
@@ -18,8 +21,11 @@ import numpy as np
 __all__ = [
     "RhoSeries",
     "LatencyReport",
+    "PairRows",
     "LATENCY_WINDOWS",
     "rho_sample_points",
+    "pair_rows",
+    "join_rows",
     "rho_series",
     "latency_report",
     "missync_rate",
@@ -55,22 +61,48 @@ class RhoSeries:
         return self.mean[-1]
 
 
-def _delivery_counts(traces: Sequence, slots: int | None = None) -> np.ndarray:
-    """Per pair (row), the deliveries within the first t slots at column t-1."""
-    matrix = np.stack([t.delivered[:slots] for t in traces])
-    # A count never exceeds the horizon: the narrowest type holding it is exact, and fastest.
-    return matrix.cumsum(axis=1, dtype=np.min_scalar_type(matrix.shape[1]))
+@dataclass(frozen=True)
+class PairRows:
+    """Per pair (row), what the reports read of its trace: its deliveries within the
+    first t slots at each t of `rho_sample_points(horizon)`, its first delivery, and
+    whether it mis-synced (None: its receiver never committed)."""
+
+    horizon: int
+    counts: np.ndarray  # [pair, point]
+    first_delivery: list[int | None]
+    missync: list[bool | None]
 
 
-def rho_series(traces: Sequence) -> RhoSeries:
+def pair_rows(traces) -> PairRows:
+    """The rows of traces that share a horizon, in their order; given rows, those rows."""
+    if isinstance(traces, PairRows):
+        return traces
     if not traces:
         raise ValueError("no traces")
-    cum = _delivery_counts(traces)
-    points = rho_sample_points(cum.shape[1])
-    idx = np.asarray(points, dtype=int)
-    per_pair = cum[:, idx - 1] / idx
+    matrix = np.stack([t.delivered for t in traces])
+    # A count never exceeds the horizon: the narrowest type holding it is exact, and fastest.
+    cum = matrix.cumsum(axis=1, dtype=np.min_scalar_type(matrix.shape[1]))
+    idx = np.asarray(rho_sample_points(matrix.shape[1])) - 1
+    return PairRows(matrix.shape[1], cum[:, idx], [t.first_delivery for t in traces],
+                    [t.missync for t in traces])
+
+
+def join_rows(parts: Sequence[PairRows]) -> PairRows:
+    """Chunks' rows as one, in the order given."""
+    return PairRows(parts[0].horizon, np.concatenate([p.counts for p in parts]),
+                    [f for p in parts for f in p.first_delivery],
+                    [m for p in parts for m in p.missync])
+
+
+def rho_series(data) -> RhoSeries:
+    """rho(t) from a trace list or its rows."""
+    rows = pair_rows(data)
+    points = rho_sample_points(rows.horizon)
+    # Column-major, as a column gather of the counts leaves it: numpy then sums
+    # each point's column pairwise, which fixes the floats the CSVs print.
+    per_pair = np.asfortranarray(rows.counts) / np.asarray(points)
     return RhoSeries(
-        points=tuple(int(t) for t in points),
+        points=tuple(points),
         mean=tuple(per_pair.mean(axis=0).tolist()),
         stddev=tuple(per_pair.std(axis=0).tolist()),
     )
@@ -89,29 +121,30 @@ class LatencyReport:
     windows: dict[int, tuple[float | None, int]]
 
 
-def latency_report(traces: Sequence) -> LatencyReport:
-    if not traces:
-        raise ValueError("no traces")
-    firsts = [t.first_delivery for t in traces]
-    hit = [f + 1 for f in firsts if f is not None]  # latency in slots, 1-based
+def latency_report(data) -> LatencyReport:
+    """From a trace list or its rows."""
+    rows = pair_rows(data)
+    pairs = len(rows.first_delivery)
+    hit = [f + 1 for f in rows.first_delivery if f is not None]  # latency in slots, 1-based
     report_windows: dict[int, tuple[float | None, int]] = {}
-    # Deliveries within the first w slots, per pair; the mean is over pairs with any.
-    hits = _delivery_counts(traces, max(LATENCY_WINDOWS))
     for w in LATENCY_WINDOWS:
-        if w <= hits.shape[1]:
-            counts = [c for c in hits[:, w - 1].tolist() if c]
+        if w <= rows.horizon:  # so a dense rho sample point: index() raises, never skips
+            # Deliveries within the first w slots, per pair; the mean is over pairs with any.
+            column = rho_sample_points(rows.horizon).index(w)
+            counts = [c for c in rows.counts[:, column].tolist() if c]
             mean = sum(w / c for c in counts) / len(counts) if counts else None
-            report_windows[w] = (mean, len(traces) - len(counts))
+            report_windows[w] = (mean, pairs - len(counts))
     return LatencyReport(
         first_mean=sum(hit) / len(hit) if hit else None,
-        undelivered=len(traces) - len(hit),
+        undelivered=pairs - len(hit),
         windows=report_windows,
     )
 
 
-def missync_rate(traces: Sequence) -> float:
-    """Fraction of committed receivers whose offset disagrees with the drift."""
-    flags = [t.missync for t in traces if t.missync is not None]
+def missync_rate(data) -> float:
+    """Fraction of committed receivers whose offset disagrees with the drift,
+    from a trace list or its rows."""
+    flags = [m for m in pair_rows(data).missync if m is not None]
     return sum(flags) / len(flags) if flags else 0.0
 
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -108,10 +109,9 @@ def run_python(*args):
                           capture_output=True, text=True, timeout=120)
 
 
-def experiment_outputs(spec_path, out_dir, workers):
-    args = ["experiment", str(spec_path), "--out", str(out_dir), "--records",
-            "--workers", str(workers)]
-    code = run_cli(args)
+def experiment_outputs(spec_path, out_dir, workers, records=True):
+    args = ["experiment", str(spec_path), "--out", str(out_dir), "--workers", str(workers)]
+    code = run_cli(args + ["--records"] if records else args)
     return code, {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
 
 
@@ -430,6 +430,50 @@ class TestExperimentCommand:
                 out_dir = tmp_path / f"{label}-w{workers}"
                 assert experiment_outputs(spec_path, out_dir, workers) == (0, single)
 
+    def test_workers_match_single_process_without_records(self, tmp_path):
+        # Only rows cross the pool's pipes; they report what the traces of --records do.
+        spec_path = tmp_path / "pool.spec"
+        spec_path.write_text(POOL_SPEC)
+        code, traced = experiment_outputs(spec_path, tmp_path / "records", 2)
+        assert code == 0
+        csvs = {name: data for name, data in traced.items() if name.endswith(".csv")}
+        for workers in (1, 2, 3):
+            out_dir = tmp_path / f"w{workers}"
+            assert experiment_outputs(spec_path, out_dir, workers, records=False) == (0, csvs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_rows_are_the_traces_rows_in_pair_order(self, workers):
+        from skolemhop import metrics, simenv
+
+        config = simenv.SimConfig(n_channels=10, protocol="sass", pu_channels=3, busy_len=40,
+                                  idle_mean=30.0, horizon=120, pairs=2 * cli.CHUNK_PAIRS + 7,
+                                  seed=6)
+        pool = cli._ChunkPool([config], workers, records=False)
+        try:
+            rows = cli._run_variation(config, workers, pool)
+        finally:
+            pool.close()
+        expected = metrics.pair_rows(simenv.run(config))
+        assert rows.horizon == expected.horizon
+        assert rows.counts.tolist() == expected.counts.tolist()
+        assert (rows.first_delivery, rows.missync) == (expected.first_delivery, expected.missync)
+
+    def test_chunk_result_grows_with_sample_points_not_horizon(self):
+        from skolemhop import metrics, simenv
+
+        sizes = {}
+        for horizon in (1000, 10_000):
+            config = simenv.SimConfig(n_channels=12, protocol="sass", horizon=horizon,
+                                      pairs=cli.CHUNK_PAIRS, seed=4)
+            rows = cli._chunk_result((config, 0, cli.CHUNK_PAIRS), False)
+            sizes[horizon] = (len(pickle.dumps(rows, pickle.HIGHEST_PROTOCOL)),
+                              len(metrics.rho_sample_points(horizon)))
+        (small, small_points), (big, big_points) = sizes[1000], sizes[10_000]
+        # Two bytes (a uint16 count) per pair for each added sample point, and
+        # nothing for the other 8100 added slots, where a trace holds 6 bytes a slot.
+        counts = cli.CHUNK_PAIRS * 2 * (big_points - small_points)
+        assert abs((big - small) - counts) <= 512
+
     def test_failed_chunk_fails_only_its_variation(self, tmp_path, capsys, monkeypatch):
         spec_path = tmp_path / "failing.spec"
         spec_path.write_text(FAILING_SPEC)
@@ -464,7 +508,7 @@ class TestExperimentCommand:
             return fork()
 
         def logged_chunk(config, start, stop):
-            # Runs in a child: the log is appended to, one short line a chunk.
+            # Runs in this process or in a child: the log is appended to, one short line a chunk.
             with open(log, "a") as fh:
                 fh.write(f"{config.protocol} {start} {stop}\n")
             return _RUN_CHUNK(config, start, stop)
@@ -474,16 +518,18 @@ class TestExperimentCommand:
         monkeypatch.setattr(cli, "_run_chunk", logged_chunk)
         spec_path = tmp_path / "pool.spec"
         spec_path.write_text(POOL_SPEC)
-        _, single = experiment_outputs(spec_path, tmp_path / "w1", 1)
-        assert not forks and not log.exists()
-        assert experiment_outputs(spec_path, tmp_path / "w5000", 5000) == (0, single)
-        assert len(forks) == 3
         # The chunks do not depend on --workers: CHUNK_PAIRS, then the rest.
         chunk = cli.CHUNK_PAIRS
-        logged = sorted(line.split() for line in log.read_text().splitlines())
-        assert logged == sorted([protocol, str(start), str(stop)]
-                                for protocol in ("sass", "rch", "css")
-                                for start, stop in ((0, chunk), (chunk, chunk + 1)))
+        chunks = [[protocol, str(start), str(stop)] for protocol in ("sass", "rch", "css")
+                  for start, stop in ((0, chunk), (chunk, chunk + 1))]
+        _, single = experiment_outputs(spec_path, tmp_path / "w1", 1)
+        # One process runs them itself, in order, and forks nothing.
+        assert not forks
+        assert [line.split() for line in log.read_text().splitlines()] == chunks
+        log.unlink()
+        assert experiment_outputs(spec_path, tmp_path / "w5000", 5000) == (0, single)
+        assert len(forks) == 3
+        assert sorted(line.split() for line in log.read_text().splitlines()) == sorted(chunks)
 
     @pytest.mark.parametrize("death,status", [("os._exit(3)", 3),
                                               ("raise KeyboardInterrupt", 1)])

@@ -1,6 +1,7 @@
 """Metric definitions, aggregation rules, and CSV output."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -192,6 +193,81 @@ class TestMissync:
         config = SimConfig(n_channels=4, protocol="sass", pu_channels=0,
                            horizon=120, pairs=32, seed=21)
         assert metrics.missync_rate(run(config)) == 0.0
+
+
+def _stacked_counts(traces, slots=None):
+    matrix = np.stack([t.delivered[:slots] for t in traces])
+    return matrix.cumsum(axis=1, dtype=np.min_scalar_type(matrix.shape[1]))
+
+
+def stacked_reports(traces):
+    """The reports as computed from whole stacked traces, before rows: the oracle
+    (rho_series, latency_report, missync_rate) that joined rows must equal."""
+    cum = _stacked_counts(traces)
+    points = metrics.rho_sample_points(cum.shape[1])
+    idx = np.asarray(points, dtype=int)
+    per_pair = cum[:, idx - 1] / idx
+    series = metrics.RhoSeries(points=tuple(points), mean=tuple(per_pair.mean(axis=0).tolist()),
+                               stddev=tuple(per_pair.std(axis=0).tolist()))
+    hit = [t.first_delivery + 1 for t in traces if t.first_delivery is not None]
+    windows = {}
+    hits = _stacked_counts(traces, max(metrics.LATENCY_WINDOWS))
+    for w in metrics.LATENCY_WINDOWS:
+        if w <= hits.shape[1]:
+            counts = [c for c in hits[:, w - 1].tolist() if c]
+            mean = sum(w / c for c in counts) / len(counts) if counts else None
+            windows[w] = (mean, len(traces) - len(counts))
+    report = metrics.LatencyReport(first_mean=sum(hit) / len(hit) if hit else None,
+                                   undelivered=len(traces) - len(hit), windows=windows)
+    flags = [t.missync for t in traces if t.missync is not None]
+    return series, report, sum(flags) / len(flags) if flags else 0.0
+
+
+# Below the first window, across the dense rho points, and strided past them
+# to a horizon that is no multiple of the stride.
+HORIZONS = (st.integers(1, 49) | st.integers(50, 200)
+            | st.integers(201, 1200).filter(lambda h: h % metrics.RHO_STRIDE))
+
+
+class TestPairRows:
+    @given(horizon=HORIZONS, seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 130),
+           data=st.data())
+    def test_joined_chunks_report_what_stacked_traces_do(self, horizon, seed, pairs, data):
+        rng = np.random.default_rng(seed)
+        traces = []
+        for rate in rng.random(pairs) ** 3:  # mostly sparse deliveries, some pairs with none
+            committed = int(rng.integers(0, 5)) if rng.random() < 0.7 else None
+            missync = bool(rng.random() < 0.3) if committed is not None else None
+            traces.append(fake_trace(rng.random(horizon) < rate, missync, committed=committed))
+        cuts = data.draw(st.sets(st.integers(1, pairs - 1), max_size=6)) if pairs > 1 else set()
+        bounds = [0, *sorted(cuts), pairs]
+        rows = metrics.join_rows([metrics.pair_rows(traces[a:b])
+                                  for a, b in zip(bounds, bounds[1:])])
+        expected = stacked_reports(traces)
+        # Row-major counts too: the float sums must not depend on how rows were laid out.
+        row_major = dataclasses.replace(rows, counts=np.ascontiguousarray(rows.counts))
+        for reports in (rows, row_major, traces):
+            assert (metrics.rho_series(reports), metrics.latency_report(reports),
+                    metrics.missync_rate(reports)) == expected
+
+    def test_every_latency_window_is_a_rho_sample_point(self):
+        # So rows carry each window's counts, for every horizon that reaches it.
+        for horizon in range(1, 1001):
+            points = set(metrics.rho_sample_points(horizon))
+            assert {w for w in metrics.LATENCY_WINDOWS if w <= horizon} <= points, horizon
+
+    def test_window_off_the_sample_points_raises(self, monkeypatch):
+        # Were a window not a sample point, the report fails rather than drop it.
+        monkeypatch.setattr(metrics, "RHO_DENSE_LIMIT", 45)
+        rows = metrics.pair_rows([fake_trace([True] * 300)])
+        assert 50 not in metrics.rho_sample_points(rows.horizon)
+        with pytest.raises(ValueError):
+            metrics.latency_report(rows)
+
+    def test_no_traces(self):
+        for reduce in (metrics.rho_series, metrics.latency_report, metrics.missync_rate):
+            with pytest.raises(ValueError, match="no traces"):
+                reduce([])
 
 
 class TestBaselineRhoLevels:
