@@ -38,7 +38,6 @@ __all__ = ["main", "parse_experiment_text", "render_experiment_spec", "preset"]
 DEFAULT_SEED = 20260801
 DEFAULT_BUSY = 400
 PRESETS = ("delivery-rate", "latency")
-THEOREMS_MAX_EFFECTIVE = 64
 CHUNK_PAIRS = 50  # pairs per pool task, whatever --workers is
 
 EXIT_OK = 0
@@ -248,11 +247,11 @@ def _run_chunk(config: simenv.SimConfig, start: int, stop: int) -> list[simenv.S
 
 
 def _chunk_result(chunk: tuple, records: bool):
-    """What a chunk hands back: its traces with --records, else their rows; or its error."""
+    """What a chunk hands back: (its rows, its traces with --records, else []); or its error."""
     from . import metrics
     try:
         traces = _run_chunk(*chunk)
-        return traces if records else metrics.pair_rows(traces)
+        return metrics.pair_rows(traces), traces if records else []
     except Exception as exc:  # noqa: BLE001 - fails its variation only
         return exc
 
@@ -289,7 +288,7 @@ class _ChunkPool:
             self.children.append((pid, open(read, "rb")))
 
     def collect(self, config: simenv.SimConfig):
-        """config's traces (--records) or rows, or its first error once every chunk is in."""
+        """config's (rows, traces of --records or []), or its first error once every chunk is in."""
         import pickle
         from . import metrics
         parts, errors = [], []
@@ -309,7 +308,7 @@ class _ChunkPool:
             (errors if isinstance(result, Exception) else parts).append(result)
         if errors:
             raise errors[0]
-        return [t for part in parts for t in part] if self.records else metrics.join_rows(parts)
+        return metrics.join_rows([rows for rows, _ in parts]), [t for _, ts in parts for t in ts]
 
     def close(self) -> None:
         for pid, pipe in self.children:
@@ -357,12 +356,11 @@ def _cmd_experiment(args) -> int:
     try:
         for variation, config, pu_label in resolved:
             try:
-                result = _run_variation(config, workers, pool)
+                pairs, traces = _run_variation(config, workers, pool)
             except Exception as exc:  # noqa: BLE001 - variations fail independently
                 print(f"error: variation {variation.name}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            pairs = metrics.pair_rows(result)  # the traces of --records, else already rows
             series = metrics.rho_series(pairs)
             report = metrics.latency_report(pairs)
             rate = metrics.missync_rate(pairs)
@@ -390,7 +388,7 @@ def _cmd_experiment(args) -> int:
                 f"missync={rate:.4f} first={first}"
             )
             if args.records:
-                simenv.write_records(out_dir / f"{variation.name}.ndjson", result)
+                simenv.write_records(out_dir / f"{variation.name}.ndjson", traces)
     finally:
         pool.close()
 
@@ -427,6 +425,7 @@ def _cmd_sequence(args) -> int:
         else:
             mode = "downsizing" if args.downsize else "padding"
             plan = make_channel_plan(args.channels, mode)
+            ess = ess_for_channel_count(plan.effective_count)  # refuses a bad N' before printing
             if plan.mode == "padding" and plan.effective_count > plan.physical_count:
                 aliases = ", ".join(
                     f"{i}->{plan.alias[i]}"
@@ -441,7 +440,6 @@ def _cmd_sequence(args) -> int:
                 f"channels: {plan.physical_count} physical -> "
                 f"{plan.effective_count} effective ({plan.mode}; {detail})"
             )
-            ess = ess_for_channel_count(plan.effective_count)
             print(f"ESS order {ess.order}: {' '.join(map(str, ess.values))}")
             ok = True  # EssSequence validated the values when it was built
         print(f"verification: {'VALID' if ok else 'INVALID'}")
@@ -454,8 +452,6 @@ def _cmd_sequence(args) -> int:
 def _cmd_theorems(args) -> int:
     n_eff = args.effective_channels
     try:
-        if n_eff > THEOREMS_MAX_EFFECTIVE:  # checked first, so that no search starts
-            raise ValueError(f"at most {THEOREMS_MAX_EFFECTIVE} effective channels, got {n_eff}")
         ess = ess_for_channel_count(n_eff)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

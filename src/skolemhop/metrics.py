@@ -80,10 +80,12 @@ def pair_rows(traces) -> PairRows:
     if not traces:
         raise ValueError("no traces")
     matrix = np.stack([t.delivered for t in traces])
+    points = rho_sample_points(matrix.shape[1])
     # A count never exceeds the horizon: the narrowest type holding it is exact, and fastest.
-    cum = matrix.cumsum(axis=1, dtype=np.min_scalar_type(matrix.shape[1]))
-    idx = np.asarray(rho_sample_points(matrix.shape[1])) - 1
-    return PairRows(matrix.shape[1], cum[:, idx], [t.first_delivery for t in traces],
+    # Each point's segment is summed, then the sums accumulate: no cumsum over every slot.
+    dt = np.min_scalar_type(matrix.shape[1])
+    counts = np.add.reduceat(matrix, [0, *points[:-1]], axis=1, dtype=dt).cumsum(axis=1, dtype=dt)
+    return PairRows(matrix.shape[1], counts, [t.first_delivery for t in traces],
                     [t.missync for t in traces])
 
 
@@ -127,11 +129,11 @@ def latency_report(data) -> LatencyReport:
     pairs = len(rows.first_delivery)
     hit = [f + 1 for f in rows.first_delivery if f is not None]  # latency in slots, 1-based
     report_windows: dict[int, tuple[float | None, int]] = {}
+    points = rho_sample_points(rows.horizon)
     for w in LATENCY_WINDOWS:
         if w <= rows.horizon:  # so a dense rho sample point: index() raises, never skips
             # Deliveries within the first w slots, per pair; the mean is over pairs with any.
-            column = rho_sample_points(rows.horizon).index(w)
-            counts = [c for c in rows.counts[:, column].tolist() if c]
+            counts = [c for c in rows.counts[:, points.index(w)].tolist() if c]
             mean = sum(w / c for c in counts) / len(counts) if counts else None
             report_windows[w] = (mean, pairs - len(counts))
     return LatencyReport(

@@ -209,21 +209,20 @@ class PuTraffic:
 
 @functools.lru_cache(maxsize=4)
 def sequence_tables(plan: ChannelPlan, horizon: int) -> dict[str, np.ndarray]:
-    """Read-only channel tables that a pair's sequence nodes play as slice views:
-    `base`, the base sequence tiled to max(horizon, P) + P slots (the sender
-    from local slot s is base[s % P:][:horizon], a SASS frame base[i:i + n]
-    with i < P); `css`, the CSS schedule values[(t + t // P) % P], which repeats
-    every P^2 slots, tiled to P^2 + horizon; `phys_base` and `phys_css`, their
-    physical twins through the alias map; `alias`; and `cells`, where each
-    trace slot's row starts in the flattened (slot, channel) PU matrix."""
+    """Read-only tables that a pair's nodes play as slice views, in effective
+    channels: `base`, the base sequence tiled to max(horizon, P) + P slots (the
+    sender from local slot s is base[s % P:][:horizon], a SASS frame
+    base[i:i + n] with i < P); `css`, the CSS schedule values[(t + t // P) % P],
+    which repeats every P^2 slots, tiled to P^2 + horizon; `alias`, each
+    effective channel's physical one; and `cells`, where each trace slot's row
+    starts in the flattened (slot, channel) PU matrix."""
     u = np.array(ess_for_channel_count(plan.effective_count).values, dtype=np.int16)
     period = len(u)
     t = np.arange(period * period)
-    alias = np.array(plan.alias, dtype=np.int16)
-    base = np.resize(u, max(horizon, period) + period)
-    css = np.resize(u[(t + t // period) % period], period * period + horizon)
-    tables = dict(base=base, css=css, phys_base=alias[base], phys_css=alias[css],
-                  alias=alias, cells=np.arange(horizon) * plan.physical_count)
+    tables = dict(base=np.resize(u, max(horizon, period) + period),
+                  css=np.resize(u[(t + t // period) % period], period * period + horizon),
+                  alias=np.array(plan.alias, dtype=np.int16),
+                  cells=np.arange(horizon) * plan.physical_count)
     for table in tables.values():
         table.flags.writeable = False
     return tables
@@ -272,25 +271,24 @@ class PairSimulation:
         horizon, period, pre = self.config.horizon, self.period, self._rx_base
         protocol, tables = self.config.protocol, sequence_tables(self.plan, horizon)
         # Physical channel c at trace slot s is busy[cells[s] + c].
-        busy, cells = np.asarray(self.pu.rows).ravel(), tables["cells"]
+        alias, busy, cells = tables["alias"], self.pu.rows.ravel(), tables["cells"]
         if protocol == "rch":
-            tx = self.sender.channels(self._tx_base, horizon)
+            tx = self.sender.channels(self._tx_base, horizon).astype(np.int16)
             for done in range(0, pre, PREROLL_BLOCK):  # drawn and dropped, a block at a time
                 self.receiver.channels(done, min(PREROLL_BLOCK, pre - done))
-            rx = self.receiver.channels(pre, horizon)
-            tx_phys, rx_phys = tables["alias"].take(tx), tables["alias"].take(rx)
-            tx, rx = tx.astype(np.int16), rx.astype(np.int16)
+            rx = self.receiver.channels(pre, horizon).astype(np.int16)
         else:
             at = self._tx_base % period
-            tx, tx_phys = tables["base"][at:at + horizon], tables["phys_base"][at:at + horizon]
-        tx_busy = busy[cells + tx_phys]
-        target = tx_phys.copy()  # the channel a delivery needs; -1 where it is busy
+            tx = tables["base"][at:at + horizon]
+        target = alias.take(tx)  # the channel a delivery needs; -1 where it is busy
+        tx_busy = busy[cells + target]
         np.putmask(target, tx_busy, -1)
         if protocol == "css":
             at = pre % (period * period)
-            rx, rx_phys = tables["css"][at:at + horizon], tables["phys_css"][at:at + horizon]
+            rx = tables["css"][at:at + horizon]
         elif protocol == "sass":
-            rx, rx_phys = self._play_sass(tables, target)
+            rx = self._play_sass(tables, target)
+        rx_phys = alias.take(rx)
         delivered = rx_phys == target
         first = int(delivered.argmax())
         committed = self.receiver.committed_offset
@@ -308,22 +306,21 @@ class PairSimulation:
             missync=missync,
         )
 
-    def _play_sass(self, tables: dict, target: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The SASS receiver's channels and physical channels over the trace: a
-        slice per `frame()`, whose deliveries go back through `step`."""
-        receiver, horizon = self.receiver, len(target)
+    def _play_sass(self, tables: dict, target: np.ndarray) -> np.ndarray:
+        """The SASS receiver's channels over the trace: a slice of `base` per
+        `frame()`, whose deliveries go back through `step`."""
+        receiver, horizon, base = self.receiver, len(target), tables["base"]
         receiver.step(self._rx_base)  # the pre-roll delivers nothing: one step
         pieces, done = [], 0
         while done < horizon:
             index, left = receiver.frame()
             count = horizon - done if left is None else min(left, horizon - done)
-            pieces.append(slice(index, index + count))
+            pieces.append(base[index:index + count])
             if left is not None:
-                hits = tables["phys_base"][pieces[-1]] == target[done:done + count]
+                hits = tables["alias"].take(pieces[-1]) == target[done:done + count]
                 receiver.step(count, hits.nonzero()[0].tolist())
             done += count
-        return tuple(np.concatenate([tables[name][piece] for piece in pieces])
-                     for name in ("base", "phys_base"))
+        return np.concatenate(pieces)
 
 
 def run(config: SimConfig, pair_range: Sequence[int] | None = None) -> list[SimTrace]:

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 EXISTENCE_CONDITION = "congruent to 0 or 3 modulo 4"
+MAX_ORDER = 79  # N' <= 80: each builds in < 0.4 s; past it the time has no bound (99: ~1 min)
 
 
 def _order_exists(n: int) -> bool:
@@ -132,7 +133,7 @@ def _fill_search(n: int) -> tuple[int, ...] | None:
 
 
 def construct_skolem(n: int) -> tuple[int, ...]:
-    """The lexicographically greatest order-n values, for n % 4 in (0, 3).
+    """The lexicographically greatest order-n values, for n % 4 in (0, 3) and n <= MAX_ORDER.
 
     A pruned backtracking search (see `_fill_search`); the result is
     validated by whoever wraps it (`EssSequence`, or `sequence --order`).
@@ -144,6 +145,8 @@ def construct_skolem(n: int) -> tuple[int, ...]:
         raise ValueError(
             f"no sequence of order {n} exists: the order must be {EXISTENCE_CONDITION}"
         )
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} > {MAX_ORDER}: at most {MAX_ORDER + 1} effective channels")
     found = _fill_search(n)
     if found is None:
         raise RuntimeError(f"search failed for order {n} despite existence")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from skolemhop import cli, hopping
+from skolemhop import cli, hopping, skolem
 from skolemhop.protocol import PROTOCOLS
 from skolemhop.skolem import EssSequence
 
@@ -177,7 +177,7 @@ class TestTheoremsCommand:
 
     def test_every_admissible_count_pinned(self, capsys):
         # sha256 of the stdouts of all 31 admissible N' in 4..64, concatenated in order.
-        for n_eff in range(4, cli.THEOREMS_MAX_EFFECTIVE + 1):
+        for n_eff in range(4, 65):
             if n_eff % 4 in (0, 1):
                 assert run_cli(["theorems", str(n_eff)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
@@ -191,14 +191,23 @@ class TestTheoremsCommand:
         assert run_cli(["theorems", "1"]) == 2
         assert "need at least 4 effective channels" in capsys.readouterr().err
 
-    def test_count_above_bound_rejected_before_construction(self, capsys, monkeypatch):
-        def no_search(n_eff):
+    def test_count_above_bound_rejected_before_construction(self, capsys, monkeypatch,
+                                                            tmp_path):
+        # Every command refuses an order past the search's bound before a search starts.
+        def no_search(n):
             raise AssertionError("construction started")
 
-        monkeypatch.setattr(cli, "ess_for_channel_count", no_search)
-        limit = cli.THEOREMS_MAX_EFFECTIVE
-        assert run_cli(["theorems", str(limit + 4)]) == 2
-        assert f"at most {limit} effective channels" in capsys.readouterr().err
+        monkeypatch.setattr(skolem, "_fill_search", no_search)
+        out_dir = tmp_path / "out"
+        for argv in (["theorems", "84"], ["sequence", "--order", "83"],
+                     ["sequence", "--channels", "100"],
+                     ["experiment", "--preset", "latency", "--channels", "100", "--pairs", "1",
+                      "--out", str(out_dir)]):
+            assert run_cli(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert f"at most {skolem.MAX_ORDER + 1} effective channels" in captured.err, argv
+            assert captured.out == "", argv
+        assert not out_dir.exists()
 
     def test_one_pass_over_the_cells(self, capsys, monkeypatch):
         # The drift table and both checks of one run read one P x P comparison of the cells
@@ -441,22 +450,33 @@ class TestExperimentCommand:
             out_dir = tmp_path / f"w{workers}"
             assert experiment_outputs(spec_path, out_dir, workers, records=False) == (0, csvs)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_pool_rows_are_the_traces_rows_in_pair_order(self, workers):
+    @pytest.mark.parametrize("workers,records", [(1, False), (2, False), (1, True), (2, True)],
+                             ids=["1", "2", "1-records", "2-records"])
+    def test_pool_rows_are_the_traces_rows_in_pair_order(self, workers, records):
+        # One shape at every worker count: rows reduced where the chunk ran, and
+        # with --records its traces too, both in pair order.
         from skolemhop import metrics, simenv
 
         config = simenv.SimConfig(n_channels=10, protocol="sass", pu_channels=3, busy_len=40,
                                   idle_mean=30.0, horizon=120, pairs=2 * cli.CHUNK_PAIRS + 7,
                                   seed=6)
-        pool = cli._ChunkPool([config], workers, records=False)
+        pool = cli._ChunkPool([config], workers, records=records)
         try:
-            rows = cli._run_variation(config, workers, pool)
+            rows, traces = cli._run_variation(config, workers, pool)
         finally:
             pool.close()
-        expected = metrics.pair_rows(simenv.run(config))
+        simulated = simenv.run(config)
+        expected = metrics.pair_rows(simulated)
         assert rows.horizon == expected.horizon
         assert rows.counts.tolist() == expected.counts.tolist()
         assert (rows.first_delivery, rows.missync) == (expected.first_delivery, expected.missync)
+        if not records:
+            assert traces == []
+            return
+        assert [t.pair_index for t in traces] == list(range(config.pairs))
+        for got, want in zip(traces, simulated):
+            assert got.receiver_channel.tolist() == want.receiver_channel.tolist()
+            assert got.delivered.tolist() == want.delivered.tolist()
 
     def test_chunk_result_grows_with_sample_points_not_horizon(self):
         from skolemhop import metrics, simenv
@@ -465,7 +485,8 @@ class TestExperimentCommand:
         for horizon in (1000, 10_000):
             config = simenv.SimConfig(n_channels=12, protocol="sass", horizon=horizon,
                                       pairs=cli.CHUNK_PAIRS, seed=4)
-            rows = cli._chunk_result((config, 0, cli.CHUNK_PAIRS), False)
+            rows, traces = cli._chunk_result((config, 0, cli.CHUNK_PAIRS), False)
+            assert traces == []
             sizes[horizon] = (len(pickle.dumps(rows, pickle.HIGHEST_PROTOCOL)),
                               len(metrics.rho_sample_points(horizon)))
         (small, small_points), (big, big_points) = sizes[1000], sizes[10_000]

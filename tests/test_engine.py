@@ -160,8 +160,15 @@ class TestTableViews:
         else:
             start, table = local_slot % period**2, tables["css"]
         assert table[start:start + count].tolist() == want
-        phys = tables["phys_base" if protocol == "sender" else "phys_css"]
-        assert phys[start:start + count].tolist() == [plan.alias[c] for c in want]
+        phys = tables["alias"].take(table[start:start + count])
+        assert phys.tolist() == [plan.alias[c] for c in want]
+
+    def test_tables_hold_effective_channels_and_the_alias_map(self):
+        plan = make_channel_plan(10)
+        tables = sequence_tables(plan, 300)
+        assert set(tables) == {"base", "css", "alias", "cells"}
+        assert tables["alias"].tolist() == list(plan.alias)
+        assert tables["base"].max() == tables["css"].max() == plan.effective_count - 1
 
     def test_tables_are_read_only(self):
         for mode in ("padding", "downsizing"):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,19 @@ class TestPairRows:
         assert 50 not in metrics.rho_sample_points(rows.horizon)
         with pytest.raises(ValueError):
             metrics.latency_report(rows)
+
+    def test_reduction_memory_grows_with_points_not_slots(self):
+        # 50 pairs x 100 000 slots: the stacked deliveries take 5 MB and the counts a
+        # uint32 per pair and segment; a uint32 cumsum over every slot peaked at 45 MB.
+        rng = np.random.default_rng(3)
+        traces = [fake_trace(rng.random(100_000) < 0.1) for _ in range(50)]
+        tracemalloc.start()
+        try:
+            metrics.pair_rows(traces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * 2**20
 
     def test_no_traces(self):
         for reduce in (metrics.rho_series, metrics.latency_report, metrics.missync_rate):

@@ -50,7 +50,7 @@ class TestAdjudication:
         # channel 0 the whole frame kills every delivery there.
         config = pu_free(drift=1, horizon=8)
         sim = PairSimulation(config, 0)
-        sim.pu.rows = [[ch == 0 for ch in range(4)] for _ in range(8)]
+        sim.pu.rows = np.array([[ch == 0 for ch in range(4)] for _ in range(8)])
         trace = sim.run()
         assert not trace.delivered.any()
 

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skolemhop import skolem
 from skolemhop.skolem import (
     EXISTENCE_CONDITION,
+    MAX_ORDER,
     EssSequence,
     _order_exists,
     construct_skolem,
@@ -135,6 +137,17 @@ class TestConstruct:
     def test_nonexistent_orders_rejected(self, n):
         with pytest.raises(ValueError, match=EXISTENCE_CONDITION):
             construct_skolem(n)
+
+    def test_orders_past_the_bound_refused_before_the_search(self, monkeypatch):
+        def no_search(n):
+            raise AssertionError("search started")
+
+        monkeypatch.setattr(skolem, "_fill_search", no_search)
+        for n in (MAX_ORDER + 4, 99):  # 83 searches for seconds, 99 for about a minute
+            with pytest.raises(ValueError, match=f"at most {MAX_ORDER + 1} effective channels"):
+                construct_skolem(n)
+        with pytest.raises(ValueError, match=f"at most {MAX_ORDER + 1} effective channels"):
+            ess_for_channel_count(100)
 
     def test_type_errors(self):
         with pytest.raises(TypeError):
