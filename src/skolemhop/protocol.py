@@ -70,19 +70,19 @@ class SassReceiver:
 
     Searching plays shift(mu, n) in frame n.  The first delivery (frame f0,
     channel alpha) fixes tau2, the other in-frame slot carrying alpha; the
-    end of f0 settles which case holds and builds the probe plan, a tuple of
-    (offset, vouching frame) entries:
+    end of f0 settles which case holds and builds the probe plan, a map from
+    each vouching frame to the offset it plays:
 
     * alpha = N'-1, the sender is f0 or f0+N' away (case 2):
-      ((f0, f0), (f0+N', f0+1));
-    * delivery also seen at tau2, the offsets agree (case 1): ((f0, f0),);
+      {f0: f0, f0+1: f0+N'};
+    * delivery also seen at tau2, the offsets agree (case 1): {f0: f0};
     * otherwise the sender is alpha+1 away in one direction or the other
-      (case 3): ((f0+alpha+1, f0+1), (f0-alpha-1, f0+2)).
+      (case 3): {f0+1: f0+alpha+1, f0+2: f0-alpha-1}.
 
-    Each frame after f0 plays the entry it vouches for; the end of the plan's
-    last vouching frame commits the entry with the most deliveries, the first
-    on a tie.  The committed offset is frozen permanently; there is no
-    re-calibration.  `sb` counts deliveries per frame up to the commit.
+    A frame outside the plan plays its own index.  The end of the last
+    vouching frame commits the offset of the first vouching frame with the
+    most deliveries.  The committed offset is frozen permanently; there is
+    no re-calibration.  `sb` counts deliveries per frame up to the commit.
     """
 
     def __init__(self, ess: EssSequence):
@@ -96,24 +96,18 @@ class SassReceiver:
         self.sb: dict[int, int] = {}
         self._tau2: int | None = None
         self._tau2_hit = False
-        self._plan: tuple[tuple[int, int], ...] = ()
+        self._plan: dict[int, int] = {}
         self._slot = 0
         self._pending_channel: int | None = None
-
-    def _offset(self) -> int:
-        if self.committed_offset is not None:
-            return self.committed_offset
-        frame = self._slot // self._period
-        return next((offset for offset, vouch in self._plan if vouch == frame), frame)
 
     def frame(self) -> tuple[int, int | None]:
         """(index, left): the next slot plays values[index], and the slots after it
         play on through the base sequence, wrapping at P, for `left` slots in all
         -- to the end of the frame; None once synced, when that never ends."""
-        index = (self._slot + self._offset()) % self._period
         if self.committed_offset is not None:
-            return index, None
-        return index, self._period - self._slot % self._period
+            return (self._slot + self.committed_offset) % self._period, None
+        frame, in_frame = divmod(self._slot, self._period)
+        return (in_frame + self._plan.get(frame, frame)) % self._period, self._period - in_frame
 
     def next_channel(self, local_slot: int) -> int:
         if local_slot != self._slot:
@@ -164,14 +158,13 @@ class SassReceiver:
             f0, _, alpha = self.first_delivery
             self.case = 2 if alpha == self._n_eff - 1 else 1 if self._tau2_hit else 3
             self._plan = {
-                1: ((f0, f0),),
-                2: ((f0, f0), (f0 + self._n_eff, f0 + 1)),
-                3: ((f0 + alpha + 1, f0 + 1), (f0 - alpha - 1, f0 + 2)),
+                1: {f0: f0},
+                2: {f0: f0, f0 + 1: f0 + self._n_eff},
+                3: {f0 + 1: f0 + alpha + 1, f0 + 2: f0 - alpha - 1},
             }[self.case]
-        if frame == self._plan[-1][1]:
-            sb = self.sb.get
-            offset, _ = max(self._plan, key=lambda entry: sb(entry[1], 0))
-            self.committed_offset = offset % period
+        if frame == max(self._plan):
+            best = max(self._plan, key=lambda vouch: self.sb.get(vouch, 0))
+            self.committed_offset = self._plan[best] % period
 
 
 class CssReceiver(_FixedNode):

@@ -74,8 +74,8 @@ class SimConfig:
             raise ValueError(f"idle_mean must be within (0, {MAX_IDLE_MEAN:g}]")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.pairs < 1:
-            raise ValueError("pairs must be >= 1")
+        if not 1 <= self.pairs <= _MASK + 1:  # pair_stream indexes pairs by uint32
+            raise ValueError("pairs must be within [1, 2**32]")
         object.__setattr__(self, "plan", plan)
 
 

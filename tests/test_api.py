@@ -1,6 +1,8 @@
-"""The package surface: the README's Python API runs as printed, and every
-module's `__all__` names only what the module defines."""
+"""The package surface: the README's Python API runs as printed, every
+module's `__all__` names only what the module defines, and every source file
+parses at the oldest Python that pyproject.toml admits."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -51,3 +53,16 @@ def test_top_level_names_are_the_readme_api():
 def test_all_entries_exist(name):
     module = importlib.import_module(f"skolemhop.{name}")
     assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
+
+
+def test_every_file_parses_at_the_python_floor():
+    # Syntax only: a standard-library name or runtime behaviour newer than the floor
+    # still passes.  ast takes the floor's grammar, whatever Python runs the suite.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
+    floor = tuple(map(int, floor))
+    files = sorted(path for top in ("src", "tests", "perfbench")
+                   for path in (ROOT / top).rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)

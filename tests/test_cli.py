@@ -778,7 +778,7 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize(
         "setting",
-        ["pu = 150", "pairs = 0", "plan = bogus", "protocol = foo", "channels = 0",
+        ["pu = 150", "pairs = 0", "pairs = 4294967297", "plan = bogus", "protocol = foo", "channels = 0",
          "pu = 25\nchannels = 0", "occupied = 2\nidle = inf", "occupied = 2\nidle = nan",
          "occupied = 2\nidle = 1e301",
          "plan = downsize", "channels = 1", "channels = 3\nplan = downsizing"],

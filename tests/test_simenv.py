@@ -107,6 +107,7 @@ class TestValidation:
             dict(idle_mean=float("inf")),
             dict(horizon=0),
             dict(pairs=0),
+            dict(pairs=2**32 + 1),  # past the pair indices the seed streams take
             dict(n_channels=2, plan_mode="downsizing"),
         ],
     )
