@@ -256,20 +256,27 @@ def _chunk_result(chunk: tuple, records: bool):
         return exc
 
 
+def _chunks(config: simenv.SimConfig):
+    """config's chunks in pair order: (config, start, stop), CHUNK_PAIRS pairs, then the rest."""
+    for start in range(0, config.pairs, CHUNK_PAIRS):
+        yield config, start, min(start + CHUNK_PAIRS, config.pairs)
+
+
 class _ChunkPool:
     """Every variation's chunks, run here in order or, by P > 1 processes, in forked
-    children with one pipe each: child k runs chunks k, k + P, ... of every variation."""
+    children with one pipe each: child k runs chunks k, k + P, ... of every variation.
+    The schedule is walked, never stored: the parent counts the chunks it has collected."""
 
     def __init__(self, configs: list[simenv.SimConfig], workers: int, records: bool):
-        chunks = [(c, s, min(s + CHUNK_PAIRS, c.pairs))
-                  for c in configs for s in range(0, c.pairs, CHUNK_PAIRS)]
+        total = sum(len(range(0, c.pairs, CHUNK_PAIRS)) for c in configs)
         usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-        processes = min(workers, usable or os.cpu_count() or 1, len(chunks))
+        processes = min(workers, usable or os.cpu_count() or 1, total)
         self.records = records
-        self.owed = [(c, k % processes) for k, c in enumerate(chunks)][::-1]  # (chunk, child)
+        self.collected = 0  # chunks collected so far, of every config
         self.children, self.lost = [], {}  # (pid, read end); pid -> the error its chunks get
         if processes == 1:  # this process runs them, in collect
             return
+        import itertools
         import pickle
         for k in range(processes):
             read, write = os.pipe()
@@ -278,7 +285,8 @@ class _ChunkPool:
                     for fd in [read] + [pipe.fileno() for _, pipe in self.children]:
                         os.close(fd)
                     out = open(write, "wb")
-                    for chunk in chunks[k::processes]:
+                    schedule = itertools.chain.from_iterable(map(_chunks, configs))
+                    for chunk in itertools.islice(schedule, k, None, processes):
                         pickle.dump(_chunk_result(chunk, records), out, pickle.HIGHEST_PROTOCOL)
                         out.flush()
                     os._exit(0)
@@ -288,16 +296,16 @@ class _ChunkPool:
             self.children.append((pid, open(read, "rb")))
 
     def collect(self, config: simenv.SimConfig):
-        """config's (rows, traces of --records or []), or its first error once every chunk is in."""
+        """config's (rows, traces of --records or []), or its first error once every chunk is
+        in; each config in the order the pool was given them."""
         import pickle
         from . import metrics
         parts, errors = [], []
-        while self.owed and self.owed[-1][0][0] is config:
-            chunk, k = self.owed.pop()
+        for chunk in _chunks(config):
             if not self.children:
                 result = _chunk_result(chunk, self.records)
-            else:
-                pid, pipe = self.children[k]
+            else:  # chunk n ran in child n % P
+                pid, pipe = self.children[self.collected % len(self.children)]
                 try:
                     result = self.lost.get(pid) or pickle.load(pipe)
                 except Exception:  # noqa: BLE001 - the stream ends, and its chunks with it
@@ -305,6 +313,7 @@ class _ChunkPool:
                     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     result = self.lost[pid] = ChildProcessError(
                         f"worker exited with status {status}")
+            self.collected += 1
             (errors if isinstance(result, Exception) else parts).append(result)
         if errors:
             raise errors[0]
@@ -349,55 +358,60 @@ def _cmd_experiment(args) -> int:
     workers = max(1, args.workers) if hasattr(os, "fork") else 1
     pool = _ChunkPool([c for _, c, _ in resolved], workers, args.records)
 
-    rho_rows: dict[str, list[tuple]] = {}
     latency_rows: list[tuple] = []
-    summary_rows: list[tuple] = []
-    failures = 0
+    summary_rows: list[tuple] = []  # one per variation that ran
+    rho_paths: set[Path] = set()  # the rho files this run has created
+
+    def report_variation(variation: Variation, config: simenv.SimConfig, pu_label: str) -> None:
+        # Its rows, traces and report die on return, before the next variation is collected.
+        try:
+            pairs, traces = _run_variation(config, workers, pool)
+        except Exception as exc:  # noqa: BLE001 - variations fail independently
+            print(f"error: variation {variation.name}: {exc}", file=sys.stderr)
+            return
+        series = metrics.rho_series(pairs)
+        report = metrics.latency_report(pairs)
+        rate = metrics.missync_rate(pairs)
+        # A PU level's first variation to report creates its file; later ones append.
+        rho_path = out_dir / f"rho_pu{pu_label}.csv"
+        metrics.write_rho_csv(
+            rho_path,
+            ((variation.protocol, pu_label, t, m, s)
+             for t, m, s in zip(series.points, series.mean, series.stddev)),
+            append=rho_path in rho_paths,
+        )
+        rho_paths.add(rho_path)
+        latency_rows.append(
+            (variation.protocol, pu_label, "first", report.first_mean, report.undelivered)
+        )
+        latency_rows.extend(
+            (variation.protocol, pu_label, str(w), mean, undefined)
+            for w, (mean, undefined) in sorted(report.windows.items())
+        )
+        committed = sum(m is not None for m in pairs.missync)
+        summary_rows.append(
+            (variation.name, variation.protocol, pu_label, config.pairs, config.horizon,
+             series.final(), rate, committed, report.first_mean, report.undelivered)
+        )
+        first = "-" if report.first_mean is None else f"{report.first_mean:.1f}"
+        print(
+            f"{variation.name}: protocol={variation.protocol} pu={pu_label}% "
+            f"pairs={config.pairs} rho({config.horizon})={series.final():.4f} "
+            f"missync={rate:.4f} first={first}"
+        )
+        if args.records:
+            simenv.write_records(out_dir / f"{variation.name}.ndjson", traces)
+
     try:
         for variation, config, pu_label in resolved:
-            try:
-                pairs, traces = _run_variation(config, workers, pool)
-            except Exception as exc:  # noqa: BLE001 - variations fail independently
-                print(f"error: variation {variation.name}: {exc}", file=sys.stderr)
-                failures += 1
-                continue
-            series = metrics.rho_series(pairs)
-            report = metrics.latency_report(pairs)
-            rate = metrics.missync_rate(pairs)
-            rows = rho_rows.setdefault(pu_label, [])
-            rows.extend(
-                (variation.protocol, pu_label, t, m, s)
-                for t, m, s in zip(series.points, series.mean, series.stddev)
-            )
-            latency_rows.append(
-                (variation.protocol, pu_label, "first", report.first_mean, report.undelivered)
-            )
-            latency_rows.extend(
-                (variation.protocol, pu_label, str(w), mean, undefined)
-                for w, (mean, undefined) in sorted(report.windows.items())
-            )
-            committed = sum(m is not None for m in pairs.missync)
-            summary_rows.append(
-                (variation.name, variation.protocol, pu_label, config.pairs, config.horizon,
-                 series.final(), rate, committed, report.first_mean, report.undelivered)
-            )
-            first = "-" if report.first_mean is None else f"{report.first_mean:.1f}"
-            print(
-                f"{variation.name}: protocol={variation.protocol} pu={pu_label}% "
-                f"pairs={config.pairs} rho({config.horizon})={series.final():.4f} "
-                f"missync={rate:.4f} first={first}"
-            )
-            if args.records:
-                simenv.write_records(out_dir / f"{variation.name}.ndjson", traces)
+            report_variation(variation, config, pu_label)
     finally:
         pool.close()
 
-    for pu_label, rows in rho_rows.items():
-        metrics.write_rho_csv(out_dir / f"rho_pu{pu_label}.csv", rows)
     if summary_rows:  # one latency row and one summary row per variation that ran
         metrics.write_latency_csv(out_dir / "latency.csv", latency_rows)
         metrics.write_summary_csv(out_dir / "summary.csv", summary_rows)
-    return EXIT_RUN_FAILURE if failures else EXIT_OK
+    return EXIT_RUN_FAILURE if len(summary_rows) < len(resolved) else EXIT_OK
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:

@@ -154,10 +154,12 @@ def _nullable(value: float | None) -> str:
     return "" if value is None else format(value, ".9g")
 
 
-def write_rho_csv(path, rows: Iterable[tuple]) -> None:
-    """Rows: (protocol, pu_level, t, rho_mean, rho_stddev)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("protocol,pu_level,t,rho_mean,rho_stddev\r\n")
+def write_rho_csv(path, rows: Iterable[tuple], *, append: bool = False) -> None:
+    """Rows: (protocol, pu_level, t, rho_mean, rho_stddev); with append, added after
+    the header and rows of a file this wrote, as if one call had written them all."""
+    with open(path, "a" if append else "w", newline="") as fh:
+        if not append:
+            fh.write("protocol,pu_level,t,rho_mean,rho_stddev\r\n")
         fh.writelines("%s,%s,%d,%.9g,%.9g\r\n" % row for row in rows)
 
 

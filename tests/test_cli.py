@@ -92,6 +92,30 @@ protocol = rch
 pu = 25
 """
 
+# PU 25's first variation fails, and PU 50's only one.
+STREAMED_FAILING_SPEC = """\
+seed = 8
+pairs = 3
+horizon = 300
+busy = 20
+
+[variation]
+protocol = css
+pu = 25
+
+[variation]
+protocol = sass
+pu = 25
+
+[variation]
+protocol = css
+pu = 50
+
+[variation]
+protocol = rch
+pu = 25
+"""
+
 _RUN_CHUNK = cli._run_chunk
 
 
@@ -520,6 +544,75 @@ class TestExperimentCommand:
             return rows
 
         assert without_css(failed) == without_css(clean)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_first_variation_leaves_one_rho_header(self, tmp_path, capsys, monkeypatch,
+                                                          workers):
+        from skolemhop import metrics
+
+        spec_path = tmp_path / "streamed.spec"
+        spec_path.write_text(STREAMED_FAILING_SPEC)
+        code, clean = experiment_outputs(spec_path, tmp_path / "clean", 1, records=False)
+        assert code == 0
+        monkeypatch.setattr(cli, "_run_chunk", _chunk_failing_for_css)
+        code, failed = experiment_outputs(spec_path, tmp_path / "failed", workers, records=False)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: variation css-pu25: injected chunk failure",
+            "error: variation css-pu50: injected chunk failure",
+        ]
+        # No variation of PU 50 reported, so it has no file.
+        assert "rho_pu50.csv" in clean and "rho_pu50.csv" not in failed
+        # PU 25's later variations created and appended to its file: one header, their rows.
+        lines = clean["rho_pu25.csv"].decode().splitlines()[1:]
+        rows = [(p, pu, int(t), float(m), float(s))
+                for p, pu, t, m, s in csv.reader(lines) if p != "css"]
+        assert [p for p, *_ in rows] == ["sass"] * (len(rows) // 2) + ["rch"] * (len(rows) // 2)
+        metrics.write_rho_csv(tmp_path / "one-call.csv", rows)
+        assert failed["rho_pu25.csv"] == (tmp_path / "one-call.csv").read_bytes()
+
+    def test_parent_holds_one_variation_of_rho_rows(self, tmp_path, capsys):
+        # 5 180 rho points a variation at horizon 50 000: were the rows of every
+        # variation held to the end, 4 more variations would add ~3 MB to the peak.
+        import tracemalloc
+
+        def peak(variations):
+            spec_path = tmp_path / f"{variations}.spec"
+            spec_path.write_text("pairs = 1\nhorizon = 50000\n" + "".join(
+                f"[variation]\nname = css-{i}\nprotocol = css\npu = 25\n"
+                for i in range(variations)))
+            argv = ["experiment", str(spec_path), "--workers", "1",
+                    "--out", str(tmp_path / f"out-{variations}")]
+            tracemalloc.start()
+            try:
+                assert run_cli(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # imports and caches load outside the measured runs
+        assert peak(6) - peak(2) < 500_000
+
+    def test_pool_walks_its_schedule_without_storing_it(self, monkeypatch):
+        # 2**32 pairs are ~86 M chunks: the pool builds none of them, and runs none
+        # before they are collected.
+        import tracemalloc
+
+        from skolemhop import simenv
+
+        def no_chunk(config, start, stop):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(cli, "_run_chunk", no_chunk)
+        config = simenv.SimConfig(n_channels=12, pairs=2**32)
+        tracemalloc.start()
+        try:
+            pool = cli._ChunkPool([config], 1, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pool.close()
+        assert peak < 64 * 1024
 
     def test_pool_capped_at_usable_cpus(self, tmp_path, monkeypatch):
         forks, fork, log = [], os.fork, tmp_path / "chunks.log"

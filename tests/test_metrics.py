@@ -340,16 +340,24 @@ class TestCsv:
         assert float(got[0]["rho_mean"]) == 0.5
         assert got[1]["pu_level"] == "25"
 
-    @pytest.mark.parametrize("name", CSV_FILES)
+    @pytest.mark.parametrize("name,append", [*((name, False) for name in CSV_FILES),
+                                             ("rho", True)],
+                             ids=[*CSV_FILES, "rho-append"])
     @given(data=st.data())
-    def test_writers_match_csv_writer(self, tmp_path_factory, name, data):
+    def test_writers_match_csv_writer(self, tmp_path_factory, name, append, data):
         # Each one-template writer against csv.writer with `.9g` floats and
-        # None as empty: the same bytes.
+        # None as empty: the same bytes.  Rows appended to a file that holds the
+        # header and the rows before them read as one call over all the rows.
         write, header, row = CSV_FILES[name]
         rows = data.draw(st.lists(row))
         directory = tmp_path_factory.mktemp(name)
         fast, generic = directory / "fast.csv", directory / "generic.csv"
-        write(fast, rows)
+        if append:
+            split = data.draw(st.integers(0, len(rows)))
+            write(fast, rows[:split])
+            write(fast, rows[split:], append=True)
+        else:
+            write(fast, rows)
         with open(generic, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
