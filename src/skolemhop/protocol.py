@@ -1,12 +1,9 @@
 """Broadcast protocol state machines.
 
-A receiver changes its channels only at frame boundaries.  The sender
-and both sequence receivers play stretches of the base sequence, so the
-simulator reads their channels off cached tables (`simenv.sequence_tables`);
-the self-adaptive receiver tells it, frame by frame, where in the base
-sequence it is (`frame()`), and takes each frame's deliveries back with
-`step(count, hits)`.  The per-slot reference surface, `next_channel` then
-`observe`, feeds the same decision code.
+Each node has the per-slot surface `next_channel` then `observe`, the
+reference that the simulator's table engine (`simenv`) is checked against.
+The self-adaptive receiver decides at two frame ends, with `sass_plan` and
+`sass_commit`; the engine calls the same two functions.
 
 The self-adaptive receiver searches by rotating the base sequence one step
 per frame, then pins the sender's offset from where its first delivery
@@ -31,6 +28,8 @@ __all__ = [
     "CssReceiver",
     "RandomHopper",
     "make_pair",
+    "sass_plan",
+    "sass_commit",
     "PROTOCOLS",
 ]
 
@@ -65,54 +64,65 @@ class BroadcastSender(_FixedNode):
         return self._values[local_slot % self._period]
 
 
-class SassReceiver:
-    """Self-adaptive receiver: rotating search, then offset calibration.
-
-    Searching plays shift(mu, n) in frame n.  The first delivery (frame f0,
-    channel alpha) fixes tau2, the other in-frame slot carrying alpha; the
-    end of f0 settles which case holds and builds the probe plan, a map from
-    each vouching frame to the offset it plays:
+def sass_plan(values: Sequence[int], f0: int, hits: Sequence[int]) -> tuple[int, dict[int, int]]:
+    """(case, plan) at the end of f0, the first frame with a delivery, whose
+    in-frame slots are `hits`.  The first, on channel alpha, fixes tau2, the
+    other in-frame slot carrying alpha.  The plan maps each frame whose
+    deliveries vouch for an offset to that offset, mod P:
 
     * alpha = N'-1, the sender is f0 or f0+N' away (case 2):
       {f0: f0, f0+1: f0+N'};
-    * delivery also seen at tau2, the offsets agree (case 1): {f0: f0};
+    * a delivery also at tau2, the offsets agree (case 1): {f0: f0};
     * otherwise the sender is alpha+1 away in one direction or the other
       (case 3): {f0+1: f0+alpha+1, f0+2: f0-alpha-1}.
+    """
+    period, slot = len(values), hits[0]
+    alpha = values[(slot + f0) % period]
+    # The two copies of value k sit k+1 apart in the base sequence.
+    tau2 = (slot + alpha + 1) % period
+    if values[(tau2 + f0) % period] != alpha:
+        tau2 = (slot - alpha - 1) % period
+    case = 2 if alpha == period // 2 - 1 else 1 if tau2 in hits else 3
+    plan = ({f0: f0}, {f0: f0, f0 + 1: f0 + period // 2},
+            {f0 + 1: f0 + alpha + 1, f0 + 2: f0 - alpha - 1})[case - 1]
+    return case, {frame: offset % period for frame, offset in plan.items()}
 
-    A frame outside the plan plays its own index.  The end of the last
-    vouching frame commits the offset of the first vouching frame with the
-    most deliveries.  The committed offset is frozen permanently; there is
-    no re-calibration.  `sb` counts deliveries per frame up to the commit.
+
+def sass_commit(plan: dict[int, int], sb: dict[int, int]) -> int:
+    """The offset committed at the end of the plan's last frame: that of the
+    first vouching frame with the most deliveries, `sb` counting them per frame."""
+    return plan[max(plan, key=lambda vouch: sb.get(vouch, 0))]
+
+
+class SassReceiver:
+    """Self-adaptive receiver: rotating search, then offset calibration.
+
+    Searching plays shift(mu, n) in frame n, the CSS schedule, up to the end
+    of f0, which sets `case` and the probe plan (`sass_plan`).  A frame
+    outside the plan plays its own index.  The end of the last vouching frame
+    sets `committed_offset` (`sass_commit`), frozen for good.  `sb` counts
+    deliveries per frame up to the commit.
     """
 
     def __init__(self, ess: EssSequence):
         self.ess = ess
         self._values = ess.values
         self._period = ess.period
-        self._n_eff = ess.n_effective
         self.first_delivery: tuple[int, int, int] | None = None  # (frame, slot, channel)
         self.case: int | None = None
         self.committed_offset: int | None = None
         self.sb: dict[int, int] = {}
-        self._tau2: int | None = None
-        self._tau2_hit = False
+        self._hits: list[int] = []  # f0's in-frame delivery slots
         self._plan: dict[int, int] = {}
         self._slot = 0
         self._pending_channel: int | None = None
 
-    def frame(self) -> tuple[int, int | None]:
-        """(index, left): the next slot plays values[index], and the slots after it
-        play on through the base sequence, wrapping at P, for `left` slots in all
-        -- to the end of the frame; None once synced, when that never ends."""
-        if self.committed_offset is not None:
-            return (self._slot + self.committed_offset) % self._period, None
-        frame, in_frame = divmod(self._slot, self._period)
-        return (in_frame + self._plan.get(frame, frame)) % self._period, self._period - in_frame
-
     def next_channel(self, local_slot: int) -> int:
         if local_slot != self._slot:
             raise ValueError(f"expected local slot {self._slot}, got {local_slot}")
-        self._pending_channel = self._values[self.frame()[0]]
+        frame = self._slot // self._period
+        offset = self._plan.get(frame, frame) if self.committed_offset is None else self.committed_offset
+        self._pending_channel = self._values[(self._slot + offset) % self._period]
         return self._pending_channel
 
     def observe(self, obs: SlotObservation) -> None:
@@ -123,48 +133,23 @@ class SassReceiver:
                 f"delivery on channel {obs.channel} but receiver tuned "
                 f"{self._pending_channel}"
             )
-        self._pending_channel = None
-        self.step(1, [0] if obs.delivered else [])
-
-    def step(self, count: int, hits: Sequence[int] = ()) -> None:
-        """The one decision path: consume the next `count` slots, with deliveries
-        on the `hits`-th of them.  Until synced they stay in one frame, unless no
-        delivery has been seen yet and these bring none: such slots only advance
-        the clock, so a pre-roll of any length is one step."""
+        channel, self._pending_channel = self._pending_channel, None
         frame, in_frame = divmod(self._slot, self._period)
-        idle = self.first_delivery is None and not hits
-        if count > self._period - in_frame and self.committed_offset is None and not idle:
-            raise ValueError(f"{count} slots from {self._slot} cross a frame boundary")
-        self._slot += count
-        if self.committed_offset is not None or idle:
+        self._slot += 1
+        if self.committed_offset is not None:
             return
-        values, period = self._values, self._period
-        if hits:
-            hits = [in_frame + k for k in hits]
-            self.sb[frame] = self.sb.get(frame, 0) + len(hits)
+        if obs.delivered:
+            self.sb[frame] = self.sb.get(frame, 0) + 1
             if self.first_delivery is None:
-                slot = hits[0]
-                alpha = values[(slot + frame) % period]
-                self.first_delivery = (frame, slot, alpha)
-                # The two copies of value k sit k+1 apart in the base sequence.
-                self._tau2 = (slot + alpha + 1) % period
-                if values[(self._tau2 + frame) % period] != alpha:
-                    self._tau2 = (slot - alpha - 1) % period
+                self.first_delivery = (frame, in_frame, channel)
             if not self._plan:
-                self._tau2_hit |= self._tau2 in hits
-        if self._slot % period:
+                self._hits.append(in_frame)
+        if self._slot % self._period or self.first_delivery is None:
             return
         if not self._plan:
-            f0, _, alpha = self.first_delivery
-            self.case = 2 if alpha == self._n_eff - 1 else 1 if self._tau2_hit else 3
-            self._plan = {
-                1: {f0: f0},
-                2: {f0: f0, f0 + 1: f0 + self._n_eff},
-                3: {f0 + 1: f0 + alpha + 1, f0 + 2: f0 - alpha - 1},
-            }[self.case]
+            self.case, self._plan = sass_plan(self._values, frame, self._hits)
         if frame == max(self._plan):
-            best = max(self._plan, key=lambda vouch: self.sb.get(vouch, 0))
-            self.committed_offset = self._plan[best] % period
+            self.committed_offset = sass_commit(self._plan, self.sb)
 
 
 class CssReceiver(_FixedNode):

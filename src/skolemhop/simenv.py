@@ -6,6 +6,10 @@ alternating fixed busy periods with exponentially distributed idle periods.
 A slot delivers iff both nodes resolve (through the channel plan) to the
 same physical channel and that channel is free.  Everything is derived
 from the config seed; identical configs replay bit-identically.
+
+The engine plays channels as slices of cached tables, SASS in closed form
+through `protocol.sass_plan` and `sass_commit`; of the per-slot protocol
+nodes, the reference it is tested against, it drives only rch's hoppers.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .protocol import PROTOCOLS, make_pair
+from .protocol import PROTOCOLS, make_pair, sass_commit, sass_plan
 from .skolem import ChannelPlan, ess_for_channel_count, make_channel_plan
 
 __all__ = [
@@ -229,15 +233,16 @@ def sequence_tables(plan: ChannelPlan, horizon: int) -> dict[str, np.ndarray]:
 
 
 class PairSimulation:
-    """One sender/receiver pair, simulated a receiver frame at a time.
+    """One sender/receiver pair, simulated as slices of `sequence_tables`.
 
     Trace slot 0 is the first slot with both nodes active.  With drift d >= 0
     the sender's local clock reads d + s at trace slot s; a negative drift
     (receiver ahead) runs the receiver through |d| pre-roll slots with no
     deliveries before the trace starts.  PU occupancy is indexed by trace
     slot.  The sender and the CSS receiver play one slice of
-    `sequence_tables`; the SASS receiver plays one slice per search or probe
-    frame, then one for the rest of the run once it has committed.
+    `sequence_tables`; the SASS receiver plays the CSS slice through its
+    first-delivery frame, one slice per probe frame, then one once it has
+    committed.  Only rch builds nodes (`sender`, `receiver`) to draw from.
     """
 
     def __init__(self, config: SimConfig, pair_index: int):
@@ -262,8 +267,8 @@ class PairSimulation:
             stream(1) if config.pu_channels else None,
             config.horizon,
         )
-        rngs = (stream(2), stream(3)) if config.protocol == "rch" else (None, None)
-        self.sender, self.receiver = make_pair(config.protocol, self.ess, *rngs)
+        if config.protocol == "rch":
+            self.sender, self.receiver = make_pair("rch", self.ess, stream(2), stream(3))
         self._tx_base = max(self.drift, 0)
         self._rx_base = max(-self.drift, 0)
 
@@ -278,20 +283,17 @@ class PairSimulation:
                 self.receiver.channels(done, min(PREROLL_BLOCK, pre - done))
             rx = self.receiver.channels(pre, horizon).astype(np.int16)
         else:
-            at = self._tx_base % period
-            tx = tables["base"][at:at + horizon]
+            tx = tables["base"][self._tx_base % period:][:horizon]
+            rx = tables["css"][pre % (period * period):][:horizon]
         target = alias.take(tx)  # the channel a delivery needs; -1 where it is busy
         tx_busy = busy[cells + target]
         np.putmask(target, tx_busy, -1)
-        if protocol == "css":
-            at = pre % (period * period)
-            rx = tables["css"][at:at + horizon]
-        elif protocol == "sass":
-            rx = self._play_sass(tables, target)
+        committed = None
+        if protocol == "sass":
+            rx, committed = self._play_sass(rx, target, tables)
         rx_phys = alias.take(rx)
         delivered = rx_phys == target
         first = int(delivered.argmax())
-        committed = self.receiver.committed_offset
         missync = (committed - self.drift) % period != 0 if committed is not None else None
         return SimTrace(
             pair_index=self.pair_index,
@@ -306,21 +308,29 @@ class PairSimulation:
             missync=missync,
         )
 
-    def _play_sass(self, tables: dict, target: np.ndarray) -> np.ndarray:
-        """The SASS receiver's channels over the trace: a slice of `base` per
-        `frame()`, whose deliveries go back through `step`."""
-        receiver, horizon, base = self.receiver, len(target), tables["base"]
-        receiver.step(self._rx_base)  # the pre-roll delivers nothing: one step
-        pieces, done = [], 0
-        while done < horizon:
-            index, left = receiver.frame()
-            count = horizon - done if left is None else min(left, horizon - done)
-            pieces.append(base[index:index + count])
-            if left is not None:
-                hits = tables["alias"].take(pieces[-1]) == target[done:done + count]
-                receiver.step(count, hits.nonzero()[0].tolist())
-            done += count
-        return np.concatenate(pieces)
+    def _play_sass(self, css: np.ndarray, target: np.ndarray,
+                   tables: dict) -> tuple[np.ndarray, int | None]:
+        """(channels, committed offset) of the SASS receiver: the CSS slice `css`
+        through its first-delivery frame f0, then the frames `sass_plan` gives."""
+        horizon, period, pre = len(css), self.period, self._rx_base
+        alias, base = tables["alias"], tables["base"]
+        hit = alias.take(css) == target
+        first = int(hit.argmax())
+        f0 = (pre + first) // period
+        done = (f0 + 1) * period - pre  # the trace slot where f0 ends
+        if not hit[first] or done > horizon:
+            return css, None
+        hits = hit[first:done].nonzero()[0] + (pre + first) % period
+        _, plan = sass_plan(self.ess.values, f0, hits.tolist())
+        pieces, sb = [css[:done]], {f0: len(hits)}
+        for frame in range(f0 + 1, max(plan) + 1):  # the probe frames
+            pieces.append(base[plan[frame]:][:min(period, horizon - done)])
+            sb[frame] = int(np.count_nonzero(alias.take(pieces[-1]) == target[done:][:period]))
+            done += len(pieces[-1])
+        if (max(plan) + 1) * period - pre > horizon:  # the run ends inside a probe frame
+            return np.concatenate(pieces), None
+        committed = sass_commit(plan, sb)
+        return np.concatenate([*pieces, base[committed:][:horizon - done]]), committed
 
 
 def run(config: SimConfig, pair_range: Sequence[int] | None = None) -> list[SimTrace]:

@@ -1,10 +1,11 @@
 """The table engine against the per-slot reference, and what byte-identity rests on.
 
-`reference_trace` steps a pair's `make_pair` nodes one slot at a time with
+`reference_trace` steps fresh `make_pair` nodes one slot at a time with
 `SlotObservation`s, the way the benchmark tracer replays a pair; the table
-engine (`PairSimulation.run`) must produce the same trace from the same
-seeds, for every protocol, channel plan, drift sign and PU setting, and for
-horizons that end anywhere in a search or probe frame.
+engine (`PairSimulation.run`), which drives no protocol object for sass or
+css, must produce the same trace from the same seeds, for every protocol,
+channel plan, drift sign and PU setting, and for horizons that end anywhere
+in a search or probe frame.
 """
 
 import dataclasses
@@ -12,26 +13,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skolemhop import simenv
+from skolemhop import cli, simenv
 from skolemhop.protocol import (
     PROTOCOLS,
     BroadcastSender,
     CssReceiver,
     RandomHopper,
-    SassReceiver,
     SlotObservation,
+    make_pair,
 )
-from skolemhop.simenv import PairSimulation, SimConfig, sequence_tables
+from skolemhop.simenv import PairSimulation, SimConfig, pair_stream, sequence_tables
 from skolemhop.skolem import ess_for_channel_count, make_channel_plan
 
 
 def reference_trace(config, pair_index):
     """(trace fields, receiver) of one pair simulated slot by slot."""
-    sim = PairSimulation(config, pair_index)
-    sender, receiver = sim.sender, sim.receiver
+    sim = PairSimulation(config, pair_index)  # for its drift and PU rows
+    rngs = [pair_stream(config.seed, pair_index, k) for k in (2, 3)]  # rch's tx and rx
+    sender, receiver = make_pair(config.protocol, sim.ess, *rngs)
     alias = sim.plan.alias
     busy = sim.pu.rows.tolist()
     tx_base, rx_base = max(sim.drift, 0), max(-sim.drift, 0)
@@ -59,31 +61,23 @@ def reference_trace(config, pair_index):
 
 
 def engine_trace(config, pair_index):
-    sim = PairSimulation(config, pair_index)
-    t = sim.run()
+    t = PairSimulation(config, pair_index).run()
     arrays = (t.sender_channel, t.receiver_channel, t.pu_blocked, t.delivered)
     fields = tuple(a.tolist() for a in arrays)
-    return fields + (t.first_delivery, t.committed_offset, t.missync), sim.receiver
-
-
-def receiver_state(receiver):
-    if not isinstance(receiver, SassReceiver):
-        return None
-    return (receiver.committed_offset, receiver.case, receiver.first_delivery, receiver.sb)
+    return fields + (t.first_delivery, t.committed_offset, t.missync)
 
 
 def assert_engine_matches_reference(config, pair_index=0):
-    got, got_rx = engine_trace(config, pair_index)
-    want, want_rx = reference_trace(config, pair_index)
+    got = engine_trace(config, pair_index)
+    want, _ = reference_trace(config, pair_index)
     names = ("sender_channel", "receiver_channel", "pu_blocked", "delivered",
              "first_delivery", "committed_offset", "missync")
     for name, a, b in zip(names, got, want):
         assert a == b, name
-    assert receiver_state(got_rx) == receiver_state(want_rx)
 
 
 @st.composite
-def configs(draw):
+def configs(draw, protocols=PROTOCOLS):
     n_channels = draw(st.integers(4, 15))
     plan_mode = draw(st.sampled_from(["padding", "downsizing"]))
     period = 2 * make_channel_plan(n_channels, plan_mode).effective_count
@@ -99,7 +93,7 @@ def configs(draw):
         horizons |= st.integers(period**2, period**2 + 2 * period)
     return SimConfig(
         n_channels=n_channels,
-        protocol=draw(st.sampled_from(["sass", "rch", "css"])),
+        protocol=draw(st.sampled_from(protocols)),
         plan_mode=plan_mode,
         pu_channels=draw(st.integers(0, 4)),
         busy_len=draw(st.integers(1, 40)),
@@ -116,6 +110,28 @@ def test_engine_matches_per_slot_reference(config, pair_index):
     assert_engine_matches_reference(config, pair_index)
 
 
+# Exact, padded and downsized plans, PU off and on, both drift signs.
+@example(SimConfig(n_channels=12, protocol="sass", drift=97, horizon=400, seed=1), 0)
+@example(SimConfig(n_channels=10, protocol="sass", pu_channels=3, busy_len=30, idle_mean=5.0,
+                   drift=-37, horizon=400, seed=2), 1)
+@example(SimConfig(n_channels=11, protocol="sass", plan_mode="downsizing", pu_channels=2,
+                   busy_len=20, idle_mean=8.0, drift=5000, horizon=400, seed=3), 2)
+@example(SimConfig(n_channels=13, protocol="sass", drift=-700, horizon=700, seed=4), 3)
+@settings(max_examples=200, deadline=None)
+@given(config=configs(protocols=["sass"]), pair_index=st.integers(0, 3))
+def test_sass_plays_css_until_its_first_frame_ends(config, pair_index):
+    # The premise of the engine's closed form, slot by slot: searching plays
+    # shift(mu, n) in frame n, so the per-slot receiver's channels are CSS's
+    # through the end of its first-delivery frame f0 (the whole run if none).
+    (_, rx_rec, *_), rx = reference_trace(config, pair_index)
+    pre = max(-PairSimulation(config, pair_index).drift, 0)
+    end = config.horizon
+    if rx.first_delivery is not None:
+        end = min(end, (rx.first_delivery[0] + 1) * rx.ess.period - pre)
+    css = CssReceiver(rx.ess)
+    assert rx_rec[:end] == [css.next_channel(pre + s) for s in range(end)]
+
+
 @pytest.mark.parametrize("drift", [0, 1, 3, 4, 6, -3, -13])
 @pytest.mark.parametrize("pu_channels", [0, 2])
 def test_every_end_slot_of_search_and_probe_frames(drift, pu_channels):
@@ -129,23 +145,6 @@ def test_every_end_slot_of_search_and_probe_frames(drift, pu_channels):
 
 
 class TestTableViews:
-    def test_sass_frames_end_at_frame_until_synced(self):
-        ess = ess_for_channel_count(4)
-        rx = SassReceiver(ess)
-        assert rx.frame() == (0, 8)
-        rx.step(3)
-        assert rx.frame() == (3, 5)
-        with pytest.raises(ValueError):
-            rx.step(6, [5])  # crosses the frame boundary with a delivery
-        with pytest.raises(ValueError):
-            rx.next_channel(2)  # not the next slot
-        rx.step(5, range(5))
-        assert rx.case == 1 and rx.committed_offset == 0
-        index, left = rx.frame()
-        assert left is None
-        base = sequence_tables(make_channel_plan(4), 50)["base"]
-        assert base[index:index + 50].tolist() == [ess.values[t % 8] for t in range(50)]
-
     @given(local_slot=st.integers(0, 10**6), count=st.integers(0, 100),
            protocol=st.sampled_from(["sender", "css"]))
     def test_fixed_views_match_next_channel(self, local_slot, count, protocol):
@@ -190,27 +189,8 @@ class TestTableViews:
 
 
 class TestNegativeDrift:
-    """A receiver ahead of the sender idles through |d| slots before the trace:
-    one `step`, whatever the drift."""
-
-    def test_idle_steps_cross_frames_until_a_delivery(self):
-        rx = SassReceiver(ess_for_channel_count(4))
-        rx.step(8 * 10**6 + 3)
-        assert rx.frame() == ((3 + 10**6) % 8, 5)
-        rx.step(5, [4])
-        assert rx.case == 3 and rx.committed_offset is None
-        with pytest.raises(ValueError):
-            rx.step(9)  # a delivery has been seen: frames go one at a time
-
-    def test_pair_steps_once_per_frame(self):
-        config = SimConfig(n_channels=12, protocol="sass", pu_channels=6, busy_len=400,
-                           idle_mean=400.0, drift=-10**6, horizon=1000, seed=3)
-        for pair_index in range(20):
-            sim = PairSimulation(config, pair_index)
-            calls, step = [], sim.receiver.step
-            sim.receiver.step = lambda *args: (calls.append(args), step(*args))
-            sim.run()
-            assert len(calls) <= -(-config.horizon // sim.period) + 4
+    """A receiver ahead of the sender idles through |d| slots before the trace,
+    and the trace depends on |d| only modulo P^2 (rch aside)."""
 
     @pytest.mark.parametrize("protocol", ["sass", "css"])
     @pytest.mark.parametrize("n_channels", [4, 10, 12, 13])
@@ -220,7 +200,7 @@ class TestNegativeDrift:
                         idle_mean=20.0, drift=-10**9, horizon=600, seed=8)
         near = dataclasses.replace(far, drift=-(10**9 % period**2) - period**2)
         for pair_index in range(4):
-            assert engine_trace(far, pair_index)[0] == engine_trace(near, pair_index)[0]
+            assert engine_trace(far, pair_index) == engine_trace(near, pair_index)
 
     def test_rch_preroll_blocks_keep_the_draws(self, monkeypatch):
         # Three whole blocks and a part: the receiver's channels are still the
@@ -228,12 +208,12 @@ class TestNegativeDrift:
         pre = 3 * simenv.PREROLL_BLOCK + 7
         config = SimConfig(n_channels=10, protocol="rch", pu_channels=3, busy_len=30,
                            idle_mean=20.0, drift=-pre, horizon=300, seed=4)
-        blocked = [engine_trace(config, j)[0] for j in range(3)]
+        blocked = [engine_trace(config, j) for j in range(3)]
         for j, fields in enumerate(blocked):
             one_array = PairSimulation(config, j).receiver.channels(0, pre + config.horizon)
             assert fields[1] == one_array[pre:].tolist()
         monkeypatch.setattr(simenv, "PREROLL_BLOCK", pre + 1)
-        assert [engine_trace(config, j)[0] for j in range(3)] == blocked
+        assert [engine_trace(config, j) for j in range(3)] == blocked
 
     def test_rch_preroll_memory_is_bounded(self):
         config = SimConfig(n_channels=12, protocol="rch", pu_channels=2, busy_len=400,
@@ -274,13 +254,35 @@ class TestByteIdentityPins:
             start += count
         assert blocks == one
 
-    @pytest.mark.parametrize("per_slot", [False, True])
-    def test_sass_frame_counts_stop_at_commit(self, per_slot):
+    def test_sass_frame_counts_stop_at_commit(self):
         last_frame = {1: 0, 2: 1, 3: 2}  # frames after f0 that the dispatch reads
         for drift in range(8):
             config = SimConfig(n_channels=4, protocol="sass", drift=drift,
                                horizon=20_000, seed=5)
-            simulate = reference_trace if per_slot else engine_trace
-            _, rx = simulate(config, 0)
+            _, rx = reference_trace(config, 0)
             assert rx.committed_offset is not None
             assert max(rx.sb) <= rx.first_delivery[0] + last_frame[rx.case]
+
+
+class TestPresetMissyncs:
+    """The `delivery-rate` preset's two mis-synced pairs (ROADMAP item 3): a
+    first delivery on alpha = 0 with tau2 PU-blocked takes case 3, both probe
+    frames deliver nothing, and the 0-0 tie commits the first vouching frame's
+    offset, one off the drift residue (P = 24)."""
+
+    @pytest.mark.parametrize("pu,pair_index,drift,f0,deliveries,committed", [
+        ("25", 954, 97, 1, 19, 2),
+        ("75", 568, 48, 0, 7, 1),
+    ], ids=["sass-pu25-954", "sass-pu75-568"])
+    def test_probe_tie_commits_first_candidate(self, pu, pair_index, drift, f0, deliveries,
+                                               committed):
+        config = next(config for _, config, label in cli._resolve_all(cli.preset("delivery-rate"))
+                      if config.protocol == "sass" and label == pu)
+        trace = PairSimulation(config, pair_index).run()
+        assert (trace.drift, trace.committed_offset, trace.missync) == (drift, committed, True)
+        assert drift % 24 == committed - 1
+        _, rx = reference_trace(config, pair_index)
+        assert (rx.first_delivery[0], rx.first_delivery[2]) == (f0, 0)
+        assert rx.case == 3
+        assert rx.sb == {f0: deliveries}  # the probe frames f0+1 and f0+2 deliver 0 times
+        assert rx.committed_offset == committed
