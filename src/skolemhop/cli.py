@@ -441,11 +441,8 @@ def _cmd_sequence(args) -> int:
             plan = make_channel_plan(args.channels, mode)
             ess = ess_for_channel_count(plan.effective_count)  # refuses a bad N' before printing
             if plan.mode == "padding" and plan.effective_count > plan.physical_count:
-                aliases = ", ".join(
-                    f"{i}->{plan.alias[i]}"
-                    for i in range(plan.physical_count, plan.effective_count)
-                )
-                detail = f"aliases: {aliases}"
+                pads = list(enumerate(plan.alias))[plan.physical_count:]
+                detail = f"aliases: {', '.join(f'{i}->{c}' for i, c in pads)}"
             elif plan.discarded:
                 detail = f"discarded channels: {', '.join(map(str, plan.discarded))}"
             else:

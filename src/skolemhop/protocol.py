@@ -1,9 +1,10 @@
 """Broadcast protocol state machines.
 
 Each node has the per-slot surface `next_channel` then `observe`, the
-reference that the simulator's table engine (`simenv`) is checked against.
-The self-adaptive receiver decides at two frame ends, with `sass_plan` and
-`sass_commit`; the engine calls the same two functions.
+reference that the simulator's table engine (`simenv`) is checked against;
+nothing in the package builds a node, only the tests and the benchmark's
+replay do.  The self-adaptive receiver decides at two frame ends, with
+`sass_plan` and `sass_commit`; the engine calls the same two functions.
 
 The self-adaptive receiver searches by rotating the base sequence one step
 per frame, then pins the sender's offset from where its first delivery
@@ -165,11 +166,7 @@ class CssReceiver(_FixedNode):
 
 
 class RandomHopper(_FixedNode):
-    """Uniform independent channel per slot, reproducible under a seeded rng.
-
-    Generator draws do not depend on batching: `channels(s, k)` equals k
-    `next_channel` calls.
-    """
+    """Uniform independent channel per slot, reproducible under a seeded rng."""
 
     def __init__(self, n_channels: int, rng: np.random.Generator):
         if n_channels < 1:
@@ -179,9 +176,6 @@ class RandomHopper(_FixedNode):
 
     def next_channel(self, local_slot: int) -> int:
         return int(self._rng.integers(0, self._n))
-
-    def channels(self, local_slot: int, count: int) -> np.ndarray:
-        return self._rng.integers(0, self._n, size=count)
 
 
 def make_pair(protocol, ess, tx_rng=None, rx_rng=None):

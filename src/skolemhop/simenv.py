@@ -8,8 +8,8 @@ same physical channel and that channel is free.  Everything is derived
 from the config seed; identical configs replay bit-identically.
 
 The engine plays channels as slices of cached tables, SASS in closed form
-through `protocol.sass_plan` and `sass_commit`; of the per-slot protocol
-nodes, the reference it is tested against, it drives only rch's hoppers.
+through `protocol.sass_plan` and `sass_commit`, rch as draws from the pair's
+streams; the per-slot protocol nodes are only the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .protocol import PROTOCOLS, make_pair, sass_commit, sass_plan
+from .protocol import PROTOCOLS, sass_commit, sass_plan
 from .skolem import ChannelPlan, ess_for_channel_count, make_channel_plan
 
 __all__ = [
@@ -242,7 +242,8 @@ class PairSimulation:
     slot.  The sender and the CSS receiver play one slice of
     `sequence_tables`; the SASS receiver plays the CSS slice through its
     first-delivery frame, one slice per probe frame, then one once it has
-    committed.  Only rch builds nodes (`sender`, `receiver`) to draw from.
+    committed.  rch draws the sender's N' uniform channels from the pair's
+    stream 2, the receiver's (pre-roll first) from stream 3.
     """
 
     def __init__(self, config: SimConfig, pair_index: int):
@@ -268,7 +269,7 @@ class PairSimulation:
             config.horizon,
         )
         if config.protocol == "rch":
-            self.sender, self.receiver = make_pair("rch", self.ess, stream(2), stream(3))
+            self._rch_streams = stream(2), stream(3)
         self._tx_base = max(self.drift, 0)
         self._rx_base = max(-self.drift, 0)
 
@@ -278,10 +279,11 @@ class PairSimulation:
         # Physical channel c at trace slot s is busy[cells[s] + c].
         alias, busy, cells = tables["alias"], self.pu.rows.ravel(), tables["cells"]
         if protocol == "rch":
-            tx = self.sender.channels(self._tx_base, horizon).astype(np.int16)
+            n_eff, (tx_rng, rx_rng) = self.plan.effective_count, self._rch_streams
+            tx = tx_rng.integers(0, n_eff, size=horizon).astype(np.int16)
             for done in range(0, pre, PREROLL_BLOCK):  # drawn and dropped, a block at a time
-                self.receiver.channels(done, min(PREROLL_BLOCK, pre - done))
-            rx = self.receiver.channels(pre, horizon).astype(np.int16)
+                rx_rng.integers(0, n_eff, size=min(PREROLL_BLOCK, pre - done))
+            rx = rx_rng.integers(0, n_eff, size=horizon).astype(np.int16)
         else:
             tx = tables["base"][self._tx_base % period:][:horizon]
             rx = tables["css"][pre % (period * period):][:horizon]

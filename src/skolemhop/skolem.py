@@ -159,12 +159,16 @@ class ChannelPlan:
 
     Padding adds alias channels on top (effective i >= N aliases physical
     i - N); downsizing discards the highest-numbered physical channels.
+    Both maps are derived when read, so a plan costs O(1) whatever N is.
     """
 
     physical_count: int
     effective_count: int
     mode: str
-    alias: tuple[int, ...]
+
+    @property
+    def alias(self) -> tuple[int, ...]:
+        return tuple(i % self.physical_count for i in range(self.effective_count))
 
     @property
     def discarded(self) -> tuple[int, ...]:
@@ -190,8 +194,7 @@ def make_channel_plan(n_channels: int, mode: str = "padding") -> ChannelPlan:
         raise ValueError(f"mode must be 'padding' or 'downsizing', got {mode!r}")
     pad, drop = {0: (0, 0), 1: (0, 0), 2: (2, 1), 3: (1, 2)}[n_channels % 4]
     n_eff = n_channels + pad if mode == "padding" else n_channels - drop
-    alias = tuple(i % n_channels for i in range(n_eff))
-    return ChannelPlan(physical_count=n_channels, effective_count=n_eff, mode=mode, alias=alias)
+    return ChannelPlan(physical_count=n_channels, effective_count=n_eff, mode=mode)
 
 
 @functools.lru_cache(maxsize=None, typed=True)

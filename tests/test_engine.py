@@ -2,8 +2,8 @@
 
 `reference_trace` steps fresh `make_pair` nodes one slot at a time with
 `SlotObservation`s, the way the benchmark tracer replays a pair; the table
-engine (`PairSimulation.run`), which drives no protocol object for sass or
-css, must produce the same trace from the same seeds, for every protocol,
+engine (`PairSimulation.run`), which builds no protocol node, must produce
+the same trace from the same seeds, for every protocol,
 channel plan, drift sign and PU setting, and for horizons that end anywhere
 in a search or probe frame.
 """
@@ -17,11 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skolemhop import cli, simenv
+from skolemhop import protocol as protocol_module
 from skolemhop.protocol import (
     PROTOCOLS,
     BroadcastSender,
     CssReceiver,
     RandomHopper,
+    SassReceiver,
     SlotObservation,
     make_pair,
 )
@@ -144,6 +146,23 @@ def test_every_end_slot_of_search_and_probe_frames(drift, pu_channels):
         assert_engine_matches_reference(config)
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_engine_builds_no_node(protocol, monkeypatch):
+    # The per-slot nodes are the reference only: the engine neither builds
+    # nor drives one, on a padded plan (10 -> 12) with PU and a negative drift.
+    config = SimConfig(n_channels=10, protocol=protocol, pu_channels=3, busy_len=20,
+                       idle_mean=5.0, drift=-37, horizon=300, seed=4)
+    want, _ = reference_trace(config, 1)
+
+    def no_node(*args, **kwargs):
+        raise AssertionError("the engine built a protocol node")
+
+    monkeypatch.setattr(protocol_module, "make_pair", no_node)
+    for node in (BroadcastSender, SassReceiver, CssReceiver, RandomHopper, SlotObservation):
+        monkeypatch.setattr(node, "__init__", no_node)
+    assert engine_trace(config, 1) == want
+
+
 class TestTableViews:
     @given(local_slot=st.integers(0, 10**6), count=st.integers(0, 100),
            protocol=st.sampled_from(["sender", "css"]))
@@ -210,7 +229,8 @@ class TestNegativeDrift:
                            idle_mean=20.0, drift=-pre, horizon=300, seed=4)
         blocked = [engine_trace(config, j) for j in range(3)]
         for j, fields in enumerate(blocked):
-            one_array = PairSimulation(config, j).receiver.channels(0, pre + config.horizon)
+            rx_rng = pair_stream(config.seed, j, 3)
+            one_array = rx_rng.integers(0, config.plan.effective_count, size=pre + config.horizon)
             assert fields[1] == one_array[pre:].tolist()
         monkeypatch.setattr(simenv, "PREROLL_BLOCK", pre + 1)
         assert [engine_trace(config, j) for j in range(3)] == blocked
@@ -243,15 +263,15 @@ class TestByteIdentityPins:
     @pytest.mark.parametrize("seed", [0, 1, 7, 20260801])
     @pytest.mark.parametrize("n", [1, 2, 4, 5, 12, 13, 64])
     def test_rch_draws_do_not_depend_on_batching(self, seed, n):
+        # The engine draws rch's channels in blocks, the per-slot hopper one at a time.
         gen = lambda: np.random.Generator(np.random.PCG64(seed))
-        one = RandomHopper(n, gen()).channels(0, 3000).tolist()
+        one = gen().integers(0, n, size=3000).tolist()
         scalar = RandomHopper(n, gen())
         assert [scalar.next_channel(t) for t in range(3000)] == one
-        split = RandomHopper(n, gen())
-        blocks, start = [], 0
+        split = gen()
+        blocks = []
         for count in (1, 24, 1024, 7, 1944):
-            blocks.extend(split.channels(start, count).tolist())
-            start += count
+            blocks.extend(split.integers(0, n, size=count).tolist())
         assert blocks == one
 
     def test_sass_frame_counts_stop_at_commit(self):
