@@ -17,7 +17,7 @@ import gc
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -45,51 +45,44 @@ EXIT_RUN_FAILURE = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class Variation:
-    name: str
-    protocol: str
-    channels: int
-    plan: str
-    pu: float | None
-    occupied: int | None
-    idle: float | None
-    pairs: int
-    horizon: int
-    busy: int
-    drift: int | None
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    seed: int
-    out: str
-    variations: tuple[Variation, ...]
-
-
 def _parse_drift(raw: str):
     return None if raw == "uniform" else int(raw)
 
 
-# The spec grammar: every key, its parser and its default as spec text
-# (None: unset), in the order a spec is rendered.
-_KEYS = {
-    "seed": (int, str(DEFAULT_SEED)),
-    "out": (str, "results"),
-    "name": (str, None),
-    "protocol": (str.lower, "sass"),
-    "channels": (int, "12"),
-    "plan": (str, "padding"),
-    "pu": (float, None),
-    "occupied": (int, None),
-    "idle": (float, None),
-    "pairs": (int, "1000"),
-    "horizon": (int, "1000"),
-    "busy": (int, str(DEFAULT_BUSY)),
-    "drift": (_parse_drift, "uniform"),
-}
-_GLOBAL_KEYS = {"seed", "out", "pairs", "horizon", "channels", "plan", "busy", "drift"}
-_VARIATION_KEYS = tuple(key for key in _KEYS if key not in ("seed", "out"))
+def _key(parse, default: str | None = None, *, above: bool = False):
+    """A spec key, stated on its field: its parser, its default as spec text
+    (None: unset), and whether it may be set above the first [variation]; a
+    [variation] block sets the keys of Variation."""
+    return field(metadata={"parse": parse, "default": default, "above": above})
+
+
+@dataclass(frozen=True)
+class Variation:
+    name: str = _key(str)
+    protocol: str = _key(str.lower, "sass")
+    channels: int = _key(int, "12", above=True)
+    plan: str = _key(str, "padding", above=True)
+    pu: float | None = _key(float)
+    occupied: int | None = _key(int)
+    idle: float | None = _key(float)
+    pairs: int = _key(int, "1000", above=True)
+    horizon: int = _key(int, "1000", above=True)
+    busy: int = _key(int, str(DEFAULT_BUSY), above=True)
+    drift: int | None = _key(_parse_drift, "uniform", above=True)
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    seed: int = _key(int, str(DEFAULT_SEED), above=True)
+    out: str = _key(str, "results", above=True)
+    variations: tuple[Variation, ...]
+
+
+# The spec grammar, read off the fields: every key's metadata, in the order a
+# spec is rendered; the keys a [variation] block takes, and those above it.
+_KEYS = {f.name: f.metadata for f in fields(ExperimentSpec) + fields(Variation) if f.metadata}
+_VARIATION_KEYS = tuple(f.name for f in fields(Variation))
+_GLOBAL_KEYS = {key for key, meta in _KEYS.items() if meta["above"]}
 
 
 # Variation names become output file names, so they may not carry a path.
@@ -101,12 +94,11 @@ class SpecError(ValueError):
 
 
 def _convert(table: dict, key: str):
-    parse, default = _KEYS[key]
-    value = table.get(key, default)
+    value = table.get(key, _KEYS[key]["default"])
     if value is None:
         return None
     try:
-        return parse(value)
+        return _KEYS[key]["parse"](value)
     except ValueError as exc:
         raise SpecError(f"bad value for {key!r}: {value!r}") from exc
 
@@ -172,7 +164,7 @@ def render_experiment_spec(spec: ExperimentSpec) -> str:
         lines.append("[variation]")
         for key in _VARIATION_KEYS:  # unset: the default's text, if there is one
             value = getattr(v, key)
-            if (text := _KEYS[key][1] if value is None else value) is not None:
+            if (text := _KEYS[key]["default"] if value is None else value) is not None:
                 lines.append(f"{key} = {text}")
         lines.append("")
     return "\n".join(lines)
@@ -424,8 +416,6 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
     if args.pu is not None:
         # A pu override supersedes explicit raw traffic parameters.
         updates.update(occupied=None, idle=None)
-    if args.downsize:
-        updates["plan"] = "downsizing"
     return replace(spec, variations=tuple(replace(v, **updates) for v in spec.variations))
 
 
@@ -437,8 +427,7 @@ def _cmd_sequence(args) -> int:
             print(f"length: {len(values)}")
             ok = verify_skolem(values)
         else:
-            mode = "downsizing" if args.downsize else "padding"
-            plan = make_channel_plan(args.channels, mode)
+            plan = make_channel_plan(args.channels, args.plan)
             ess = ess_for_channel_count(plan.effective_count)  # refuses a bad N' before printing
             if plan.mode == "padding" and plan.effective_count > plan.physical_count:
                 pads = list(enumerate(plan.alias))[plan.physical_count:]
@@ -501,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_seq.add_mutually_exclusive_group(required=True)
     group.add_argument("--order", type=int, help="sequence order n (n %% 4 in {0, 3})")
     group.add_argument("--channels", type=int, help="physical channel count")
-    p_seq.add_argument("--downsize", action="store_true", help="discard channels instead of padding")
+    p_seq.add_argument("--downsize", dest="plan", action="store_const", const="downsizing",
+                       default="padding", help="discard channels instead of padding")
     p_seq.set_defaults(func=_cmd_sequence)
 
     p_thm = sub.add_parser("theorems", help="exhaustively verify the drift properties")
@@ -521,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--protocol", choices=PROTOCOLS,
                        help="override the protocol of every variation")
     p_exp.add_argument("--channels", type=int, help="override channel count")
-    p_exp.add_argument("--downsize", action="store_true",
+    p_exp.add_argument("--downsize", dest="plan", action="store_const", const="downsizing",
                        help="override plan mode to downsizing")
     p_exp.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p_exp.add_argument("--records", action="store_true",

@@ -444,6 +444,23 @@ class TestSpecParsing:
         spec = cli.ExperimentSpec(seed=seed, out=out, variations=tuple(variations))
         assert cli.parse_experiment_text(cli.render_experiment_spec(spec)) == spec
 
+    def test_readme_key_table_matches_grammar(self):
+        # Each row of the README's key table, in order: the key, its default as
+        # spec text, and its scope, as the fields of Variation and ExperimentSpec state them.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| key | default | scope | meaning |\n|---|---|---|---|\n", 1)[1]
+        rows = [line.strip("| ").split(" | ") for line in table.split("\n\n", 1)[0].splitlines()]
+        assert [row[0] for row in rows] == [f"`{key}`" for key in cli._KEYS]
+        for (_, default, scope, _), (key, meta) in zip(rows, cli._KEYS.items()):
+            if key not in cli._VARIATION_KEYS:
+                assert scope == "global only", key
+            else:
+                assert scope == ("global" if meta["above"] else "variation"), key
+            if meta["default"] is not None:
+                assert default == f"`{meta['default']}`", key
+            else:  # unset; a name is made from the protocol and pu
+                assert default.startswith("`<protocol>-pu<pu>`" if key == "name" else "unset"), key
+
     def test_unknown_preset(self):
         with pytest.raises(cli.SpecError):
             cli.preset("figure-9")
@@ -850,6 +867,24 @@ class TestExperimentCommand:
         printed = capsys.readouterr().out
         assert "protocol=css" in printed and "pu=0%" in printed
         assert (out_dir / "rho_pu0.csv").exists()
+
+    def test_downsize_flag_is_the_plan_override(self, tmp_path, capsys):
+        # `--downsize` writes what the same spec with `plan = downsizing` writes, byte
+        # for byte, and not what the padded spec writes (10 channels: N' 9, not 12).
+        padded = TINY_SPEC.replace("channels = 12", "channels = 10")
+        downsized = padded.replace("plan = padding", "plan = downsizing")
+        runs = {}
+        for run, text, flags in (("flag", padded, ["--downsize"]), ("spec", downsized, []),
+                                 ("padded", padded, [])):
+            spec_path, out_dir = tmp_path / f"{run}.spec", tmp_path / run
+            spec_path.write_text(text)
+            code = run_cli(["experiment", str(spec_path), "--out", str(out_dir), "--records",
+                            *flags])
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            runs[run] = code, capsys.readouterr().out, files
+        assert runs["flag"][0] == 0
+        assert runs["flag"] == runs["spec"]
+        assert runs["flag"][2] != runs["padded"][2]
 
     def test_negative_zero_pu_labelled_zero(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -515,7 +515,7 @@ def residues_out_of_sync(n_channels):
 
 # Padded plans whose first delivery can land where the receiver plays an
 # effective channel and the sender its alias: alpha is misread and some
-# residues commit a wrong offset (ROADMAP item 4).  Bad residues per plan.
+# residues commit a wrong offset (ROADMAP item 8).  Bad residues per plan.
 PADDED_BAD_RESIDUES = {6: 9, 7: 5, 10: 7, 11: 5, 14: 11, 15: 5, 30: 14, 31: 5, 62: 14, 63: 5}
 
 
@@ -529,7 +529,7 @@ class TestSyncEveryResidue:
 
     @pytest.mark.parametrize("n_channels", [
         pytest.param(n, marks=pytest.mark.xfail(
-            strict=True, reason=f"ROADMAP item 4: {bad} residues mis-sync on padding"))
+            strict=True, reason=f"ROADMAP item 8: {bad} residues mis-sync on padding"))
         for n, bad in PADDED_BAD_RESIDUES.items()
     ])
     def test_padded_plans(self, n_channels):

@@ -24,6 +24,8 @@ from skolemhop.simenv import (
     write_records,
 )
 
+from test_engine import reconstruct_receiver_channels
+
 
 def pu_free(**kwargs):
     defaults = dict(n_channels=4, protocol="sass", pu_channels=0, horizon=64,
@@ -311,57 +313,6 @@ class TestPuParameters:
         got = nominal_intensity(2, 12, 400, idle)
         assert math.isfinite(got)
         assert 0.0 <= got < 1e-10
-
-
-def reconstruct_receiver_channels(local_delivered, ess):
-    """Recompute the adaptive receiver's channel per local slot, from scratch.
-
-    Uses only the frame rules and the delivered history -- an independent
-    re-statement of the receiver behavior with no incremental state.
-    """
-    period = ess.period
-    n_eff = ess.n_effective
-    mu = ess.values
-    total = len(local_delivered)
-    hits = [t for t, d in enumerate(local_delivered) if d]
-    offsets = {}
-
-    def offset_for(frame):
-        return offsets.get(frame, frame)  # searching default
-
-    if hits:
-        first = hits[0]
-        f0 = first // period
-        alpha = mu[(first + f0) % period]
-        frame_seq = [mu[(t + f0) % period] for t in range(period)]
-        twins = [t for t in range(period) if frame_seq[t] == alpha]
-        tau2 = [t for t in twins if t != first % period][0]
-        sb = {}
-        for t, d in enumerate(local_delivered):
-            if d:
-                sb[t // period] = sb.get(t // period, 0) + 1
-        last_frame = (total - 1) // period
-        if alpha == n_eff - 1:
-            chosen = f0 if sb.get(f0, 0) >= sb.get(f0 + 1, 0) else f0 + n_eff
-            for f in range(f0 + 1, last_frame + 1):
-                offsets[f] = (f0 + n_eff) if f == f0 + 1 else chosen
-        elif local_delivered[f0 * period + tau2]:
-            for f in range(f0 + 1, last_frame + 1):
-                offsets[f] = f0
-        else:
-            chosen = (
-                f0 + alpha + 1
-                if sb.get(f0 + 1, 0) >= sb.get(f0 + 2, 0)
-                else f0 - (alpha + 1)
-            )
-            for f in range(f0 + 1, last_frame + 1):
-                if f == f0 + 1:
-                    offsets[f] = f0 + alpha + 1
-                elif f == f0 + 2:
-                    offsets[f] = f0 - (alpha + 1)
-                else:
-                    offsets[f] = chosen
-    return [mu[(t + offset_for(t // period)) % period] for t in range(total)]
 
 
 class TestAdjudicationOracle:
