@@ -223,6 +223,8 @@ def _resolve(v: Variation, global_seed: int, index: int) -> tuple[simenv.SimConf
 
 def _resolve_all(spec: ExperimentSpec) -> list[tuple[Variation, simenv.SimConfig, str]]:
     """Resolve and validate every variation before any of them runs."""
+    if spec.seed < 0:  # the seed key's own error, not its first variation's
+        raise SpecError(f"seed must be a non-negative integer, got {spec.seed}")
     resolved = []
     for index, v in enumerate(spec.variations):
         try:

@@ -249,14 +249,12 @@ class PairSimulation:
     def __init__(self, config: SimConfig, pair_index: int):
         self.config = config
         self.pair_index = pair_index
-        self.plan = config.plan
-        self.ess = ess_for_channel_count(self.plan.effective_count)
-        self.period = self.ess.period
+        self.ess = ess_for_channel_count(config.plan.effective_count)
 
         # Stream k is child k of spawn_key=(j,)'s spawn(4): 0 drift, 1 PU, 2 tx, 3 rx.
         stream = functools.partial(pair_stream, config.seed, pair_index)
         if config.drift is None:
-            n_eff = self.plan.effective_count
+            n_eff = config.plan.effective_count
             self.drift = int(stream(0).integers(0, 2 * n_eff * n_eff))
         else:
             self.drift = int(config.drift)
@@ -270,29 +268,28 @@ class PairSimulation:
         )
         if config.protocol == "rch":
             self._rch_streams = stream(2), stream(3)
-        self._tx_base = max(self.drift, 0)
-        self._rx_base = max(-self.drift, 0)
 
     def run(self) -> SimTrace:
-        horizon, period, pre = self.config.horizon, self.period, self._rx_base
-        protocol, tables = self.config.protocol, sequence_tables(self.plan, horizon)
+        config, period, pre = self.config, self.ess.period, max(-self.drift, 0)
+        horizon, protocol = config.horizon, config.protocol
+        tables = sequence_tables(config.plan, horizon)
         # Physical channel c at trace slot s is busy[cells[s] + c].
         alias, busy, cells = tables["alias"], self.pu.rows.ravel(), tables["cells"]
         if protocol == "rch":
-            n_eff, (tx_rng, rx_rng) = self.plan.effective_count, self._rch_streams
+            n_eff, (tx_rng, rx_rng) = config.plan.effective_count, self._rch_streams
             tx = tx_rng.integers(0, n_eff, size=horizon).astype(np.int16)
             for done in range(0, pre, PREROLL_BLOCK):  # drawn and dropped, a block at a time
                 rx_rng.integers(0, n_eff, size=min(PREROLL_BLOCK, pre - done))
             rx = rx_rng.integers(0, n_eff, size=horizon).astype(np.int16)
         else:
-            tx = tables["base"][self._tx_base % period:][:horizon]
+            tx = tables["base"][max(self.drift, 0) % period:][:horizon]
             rx = tables["css"][pre % (period * period):][:horizon]
         target = alias.take(tx)  # the channel a delivery needs; -1 where it is busy
         tx_busy = busy[cells + target]
         np.putmask(target, tx_busy, -1)
         committed = None
         if protocol == "sass":
-            rx, committed = self._play_sass(rx, target, tables)
+            rx, committed = self._play_sass(rx, target, tables, pre)
         rx_phys = alias.take(rx)
         delivered = rx_phys == target
         first = int(delivered.argmax())
@@ -310,11 +307,11 @@ class PairSimulation:
             missync=missync,
         )
 
-    def _play_sass(self, css: np.ndarray, target: np.ndarray,
-                   tables: dict) -> tuple[np.ndarray, int | None]:
-        """(channels, committed offset) of the SASS receiver: the CSS slice `css`
-        through its first-delivery frame f0, then the frames `sass_plan` gives."""
-        horizon, period, pre = len(css), self.period, self._rx_base
+    def _play_sass(self, css: np.ndarray, target: np.ndarray, tables: dict,
+                   pre: int) -> tuple[np.ndarray, int | None]:
+        """(channels, committed offset) of the SASS receiver, `pre` pre-roll slots ahead: the
+        CSS slice `css` through its first-delivery frame f0, then the frames `sass_plan` gives."""
+        horizon, period = len(css), self.ess.period
         alias, base = tables["alias"], tables["base"]
         hit = alias.take(css) == target
         first = int(hit.argmax())

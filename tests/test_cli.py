@@ -359,8 +359,12 @@ class TestSpecParsing:
             cli.parse_experiment_text("")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(cli.SpecError, match="unknown"):
-            cli.parse_experiment_text("[variation]\nflux = 9\n")
+        # In a [variation] block, above the first one, and a line that sets no key.
+        for text, message in (("[variation]\nflux = 9\n", "unknown variation key"),
+                              ("flux = 9\n[variation]\n", "unknown global key"),
+                              ("[variation]\nflux 9\n", "expected 'key = value'")):
+            with pytest.raises(cli.SpecError, match=message):
+                cli.parse_experiment_text(text)
 
     def test_duplicate_names_rejected(self):
         text = "[variation]\nname = a\n\n[variation]\nname = a\n"
@@ -867,6 +871,19 @@ class TestExperimentCommand:
         printed = capsys.readouterr().out
         assert "protocol=css" in printed and "pu=0%" in printed
         assert (out_dir / "rho_pu0.csv").exists()
+        # --seed 7 writes what the spec with seed = 7 writes, and not what the default seed does.
+        unseeded = TINY_SPEC.replace("seed = 99\n", "")
+        runs = {}
+        for run, text, flags in (("flag", unseeded, ["--seed", "7"]),
+                                 ("spec", "seed = 7\n" + unseeded, []), ("default", unseeded, [])):
+            spec_path, out_dir = tmp_path / f"{run}.spec", tmp_path / run
+            spec_path.write_text(text)
+            code = run_cli(["experiment", str(spec_path), "--out", str(out_dir), *flags])
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            runs[run] = code, capsys.readouterr().out, files
+        assert runs["flag"][0] == 0
+        assert runs["flag"] == runs["spec"]
+        assert runs["flag"][2] != runs["default"][2]
 
     def test_downsize_flag_is_the_plan_override(self, tmp_path, capsys):
         # `--downsize` writes what the same spec with `plan = downsizing` writes, byte
@@ -932,7 +949,8 @@ class TestExperimentCommand:
         ["pu = 150", "pairs = 0", "pairs = 4294967297", "plan = bogus", "protocol = foo", "channels = 0",
          "pu = 25\nchannels = 0", "occupied = 2\nidle = inf", "occupied = 2\nidle = nan",
          "occupied = 2\nidle = 1e301",
-         "plan = downsize", "channels = 1", "channels = 3\nplan = downsizing"],
+         "plan = downsize", "channels = 1", "channels = 3\nplan = downsizing",
+         "occupied = 2", "idle = 3"],
     )
     def test_bad_variation_rejected_before_work(self, tmp_path, capsys, setting):
         bad = TINY_SPEC + f"\n[variation]\nname = broken\n{setting}\n"
@@ -943,6 +961,19 @@ class TestExperimentCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert "variation broken" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("via", ["spec", "flag"])
+    def test_negative_seed_rejected_as_the_seed_key(self, tmp_path, capsys, via):
+        # The seed key's own error, before any variation resolves.
+        spec_path, out_dir = tmp_path / "bad.spec", tmp_path / "out"
+        spec_path.write_text(TINY_SPEC.replace("seed = 99", "seed = -1" if via == "spec" else ""))
+        flags = ["--seed", "-5"] if via == "flag" else []
+        code = run_cli(["experiment", str(spec_path), "--out", str(out_dir), "--records", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: seed " in captured.err and "variation" not in captured.err
         assert captured.out == ""
         assert not out_dir.exists()
 

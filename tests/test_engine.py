@@ -5,7 +5,9 @@
 engine (`PairSimulation.run`), which builds no protocol node, must produce
 the same trace from the same seeds, for every protocol,
 channel plan, drift sign and PU setting, and for horizons that end anywhere
-in a search or probe frame.
+in a search or probe frame.  This is the one check of the engine: every
+hypothesis example also checks the delivery and PU adjudication (through the
+reference), the sender and CSS closed forms and a from-scratch SASS rebuild.
 """
 
 import dataclasses
@@ -36,7 +38,7 @@ def reference_trace(config, pair_index):
     sim = PairSimulation(config, pair_index)  # for its drift and PU rows
     rngs = [pair_stream(config.seed, pair_index, k) for k in (2, 3)]  # rch's tx and rx
     sender, receiver = make_pair(config.protocol, sim.ess, *rngs)
-    alias = sim.plan.alias
+    alias = config.plan.alias
     busy = sim.pu.rows.tolist()
     tx_base, rx_base = max(sim.drift, 0), max(-sim.drift, 0)
     for t in range(rx_base):
@@ -56,7 +58,7 @@ def reference_trace(config, pair_index):
     committed = receiver.committed_offset
     missync = None
     if config.protocol == "sass" and committed is not None:
-        missync = (committed - sim.drift) % sim.period != 0
+        missync = (committed - sim.drift) % sim.ess.period != 0
     first = del_rec.index(True) if True in del_rec else None
     fields = (tx_rec, rx_rec, pu_rec, del_rec, first, committed, missync)
     return fields, receiver
@@ -167,7 +169,7 @@ def test_engine_matches_per_slot_reference(config, pair_index):
     # receiver by their closed forms, SASS by a from-scratch rebuild of its
     # frame rules from the delivered history (pre-roll slots deliver nothing).
     sim = PairSimulation(config, pair_index)
-    mu, period = sim.ess.values, sim.period
+    mu, period = sim.ess.values, sim.ess.period
     tx_base, rx_base = max(sim.drift, 0), max(-sim.drift, 0)
     if config.protocol != "rch":
         assert tx == [mu[(tx_base + s) % period] for s in range(config.horizon)]
@@ -230,12 +232,30 @@ def test_engine_builds_no_node(protocol, monkeypatch):
     assert engine_trace(config, 1) == want
 
 
+VIEW_HORIZON = 100  # the tables' horizon, and the longest view the test takes
+
+
+def far_start_examples(test):
+    """The starts 0, P - 1, 100 007 and 10**6 at a count of 3P + 5, for the sender
+    and for CSS (one slice checks every shorter count too); and each table's last
+    start at the whole horizon, which reads up to the table's last slot but one."""
+    for physical in (3, 10, 13):  # padded to N' = 4, 12, 13
+        period = 2 * make_channel_plan(physical).effective_count
+        starts = [(start, 3 * period + 5) for start in (0, period - 1, 100_007, 10**6)]
+        for protocol, last in (("sender", period - 1), ("css", period**2 - 1)):
+            for local_slot, count in starts + [(last, VIEW_HORIZON)]:
+                test = example(physical=physical, local_slot=local_slot, count=count,
+                               protocol=protocol)(test)
+    return test
+
+
 class TestTableViews:
+    @far_start_examples
     @given(physical=st.sampled_from([3, 9, 10, 13]), local_slot=st.integers(0, 10**6),
-           count=st.integers(0, 100), protocol=st.sampled_from(["sender", "css"]))
+           count=st.integers(0, VIEW_HORIZON), protocol=st.sampled_from(["sender", "css"]))
     def test_fixed_views_match_next_channel(self, physical, local_slot, count, protocol):
         plan = make_channel_plan(physical)
-        tables = sequence_tables(plan, 100)
+        tables = sequence_tables(plan, VIEW_HORIZON)
         ess = ess_for_channel_count(plan.effective_count)
         node = (BroadcastSender if protocol == "sender" else CssReceiver)(ess)
         want = [node.next_channel(local_slot + t) for t in range(count)]
@@ -306,7 +326,7 @@ class TestNegativeDrift:
         config = SimConfig(n_channels=12, protocol="rch", pu_channels=2, busy_len=400,
                            idle_mean=400.0, drift=-10**7, horizon=1000, seed=6)
         sim = PairSimulation(config, 0)
-        sequence_tables(sim.plan, config.horizon)
+        sequence_tables(config.plan, config.horizon)
         tracemalloc.start()
         try:
             sim.run()

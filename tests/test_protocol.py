@@ -19,7 +19,7 @@ from skolemhop.protocol import (
     SlotObservation,
     make_pair,
 )
-from skolemhop.simenv import PairSimulation, SimConfig, sequence_tables
+from skolemhop.simenv import PairSimulation, SimConfig
 from skolemhop.skolem import EssSequence, ess_for_channel_count, make_channel_plan
 
 MU = EssSequence(order=3, values=(0, 0, 3, 1, 2, 1, 3, 2))
@@ -280,6 +280,8 @@ class TestRch:
     def test_single_channel(self):
         hopper = RandomHopper(1, np.random.Generator(np.random.PCG64(0)))
         assert {hopper.next_channel(t) for t in range(50)} == {0}
+        with pytest.raises(ValueError, match="at least one channel"):
+            RandomHopper(0, np.random.Generator(np.random.PCG64(0)))
 
     def test_pairwise_coincidence_rate(self):
         n = 4
@@ -305,28 +307,6 @@ class TestMakePair:
             make_pair("ach", MU)
         with pytest.raises(ValueError):
             make_pair("rch", MU)
-
-
-class TestBlockLookups:
-    """A node's block of k channels from local slot s is one slice of the
-    cached tables, far from the origin and across frame boundaries."""
-
-    @pytest.mark.parametrize("physical", [3, 10, 13])  # padded to N' = 4, 12, 13
-    @pytest.mark.parametrize("start", ["0", "P-1", 100_007, 1_000_000])
-    @pytest.mark.parametrize("kind", ["sender", "css"])
-    def test_channels_match_next_channel(self, physical, start, kind):
-        plan = make_channel_plan(physical, "padding")
-        ess = ess_for_channel_count(plan.effective_count)
-        period = ess.period
-        s = {"0": 0, "P-1": period - 1}.get(start, start)
-        counts = (1, period - 1, period, period + 1, 3 * period + 5)
-        tables = sequence_tables(plan, max(counts))
-        node = (BroadcastSender if kind == "sender" else CssReceiver)(ess)
-        table, at = (tables["base"], s % period) if kind == "sender" else (
-            tables["css"], s % period**2)
-        for k in counts:
-            want = [node.next_channel(t) for t in range(s, s + k)]
-            assert table[at:at + k].tolist() == want
 
 
 # The receiver as it was written with a five-phase state (search, case 2's

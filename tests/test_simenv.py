@@ -24,8 +24,6 @@ from skolemhop.simenv import (
     write_records,
 )
 
-from test_engine import reconstruct_receiver_channels
-
 
 def pu_free(**kwargs):
     defaults = dict(n_channels=4, protocol="sass", pu_channels=0, horizon=64,
@@ -313,60 +311,6 @@ class TestPuParameters:
         got = nominal_intensity(2, 12, 400, idle)
         assert math.isfinite(got)
         assert 0.0 <= got < 1e-10
-
-
-class TestAdjudicationOracle:
-    def test_hundred_random_configs(self):
-        rng = np.random.default_rng(0xACE)
-        for trial in range(100):
-            protocol = ["sass", "rch", "css"][int(rng.integers(0, 3))]
-            n = int(rng.integers(4, 16))
-            mode = ["padding", "downsizing"][int(rng.integers(0, 2))]
-            if mode == "downsizing" and n < 9:
-                mode = "padding"
-            x = int(rng.integers(0, n + 1))
-            drift_kind = int(rng.integers(0, 3))
-            drift = (
-                None if drift_kind == 0
-                else int(rng.integers(0, 60)) if drift_kind == 1
-                else -int(rng.integers(1, 20))
-            )
-            config = SimConfig(
-                n_channels=n, protocol=protocol, plan_mode=mode, pu_channels=x,
-                busy_len=int(rng.integers(1, 12)),
-                idle_mean=float(rng.uniform(0.5, 12.0)),
-                drift=drift, horizon=int(rng.integers(60, 220)),
-                pairs=1, seed=int(rng.integers(0, 2**31)),
-            )
-            sim = PairSimulation(config, 0)
-            trace = sim.run()
-            plan = sim.plan
-            # delivered iff same physical channel and that channel is free
-            for s in range(config.horizon):
-                tx_phys = plan.alias[trace.sender_channel[s]]
-                rx_phys = plan.alias[trace.receiver_channel[s]]
-                expect = tx_phys == rx_phys and not sim.pu.rows[s][tx_phys]
-                assert trace.delivered[s] == expect, (trial, s)
-                blocked = sim.pu.rows[s][tx_phys] or sim.pu.rows[s][rx_phys]
-                assert trace.pu_blocked[s] == blocked, (trial, s)
-            # schedule reconstruction (deterministic protocols only)
-            ess = sim.ess
-            tx_base = sim._tx_base
-            rx_base = sim._rx_base
-            if protocol in ("sass", "css"):
-                expected_tx = [ess.values[(tx_base + s) % ess.period]
-                               for s in range(config.horizon)]
-                assert trace.sender_channel.tolist() == expected_tx
-            if protocol == "sass":
-                local = [False] * rx_base + trace.delivered.tolist()
-                recon = reconstruct_receiver_channels(local, ess)
-                assert trace.receiver_channel.tolist() == recon[rx_base:], trial
-            elif protocol == "css":
-                expected_rx = [
-                    ess.values[((rx_base + s) + (rx_base + s) // ess.period) % ess.period]
-                    for s in range(config.horizon)
-                ]
-                assert trace.receiver_channel.tolist() == expected_rx
 
 
 def oracle_write_records(path, traces):

@@ -254,6 +254,11 @@ class TestChannelPlan:
         with pytest.raises(ValueError):
             make_channel_plan(4, "trim")
 
+    @pytest.mark.parametrize("n", [12.0, True, "12"])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(TypeError, match="channel count must be an integer"):
+            make_channel_plan(n)
+
 
 class TestEssForChannels:
     def test_four_channels(self):
