@@ -8,11 +8,10 @@ experiments.  The simulation names load numpy, so they are imported on first use
 
 import importlib
 
-from .hopping import delivery_channels, shift
 from .skolem import ess_for_channel_count
 
 __version__ = "0.1.0"
-__all__ = ["SimConfig", "run", "rho_series", "ess_for_channel_count", "shift", "delivery_channels"]
+__all__ = ["SimConfig", "run", "rho_series", "ess_for_channel_count"]
 _LAZY = {"SimConfig": "simenv", "run": "simenv", "rho_series": "metrics"}
 
 

@@ -1,24 +1,23 @@
 """Cyclic-shift algebra over hopping sequences.
 
-Two shifted copies of the same extended sequence coincide on exactly one
-channel per period (channel |g|-1 for relative drift g, every channel when
-g = 0), and on one slot when 0 < |g| < N', two when |g| = N'.  A receiver
-can therefore read its clock drift off the channel where deliveries happen;
-the exhaustive checkers at the bottom verify those facts for a given base
-sequence, every shift pair through one pass over all P rotations of it.
+Two shifted copies shift(u, a)[t] = u[(t + a) mod P] of the same extended
+sequence u coincide on exactly one channel per period (channel |g|-1 for
+relative drift g, every channel when g = 0), and on one slot when
+0 < |g| < N', two when |g| = N'.  A receiver can therefore read its clock
+drift off the channel where deliveries happen; the exhaustive checkers at
+the bottom verify those facts for a given base sequence, every shift pair
+through one pass over all P rotations of it.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
+from typing import Callable
 
 from .skolem import EssSequence
 
 __all__ = [
     "ALL_CHANNELS",
-    "shift",
-    "delivery_channels",
     "canonical_drift",
     "drift_channel_table",
     "check_channel_map",
@@ -27,20 +26,6 @@ __all__ = [
 
 # Sentinel for "every channel is a delivery channel" (zero relative drift).
 ALL_CHANNELS = "all"
-
-
-def shift(u: Sequence[int] | EssSequence, offset: int) -> tuple[int, ...]:
-    """Cyclic shift: result[t] = u[(t + offset) mod len(u)]."""
-    vals = u.values if isinstance(u, EssSequence) else u
-    period = len(vals)
-    return tuple(vals[(t + offset) % period] for t in range(period))
-
-
-def delivery_channels(u: Sequence[int], v: Sequence[int]) -> frozenset[int]:
-    """Channels on which the two equal-length sequences ever coincide."""
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return frozenset(a for a, b in zip(u, v) if a == b)
 
 
 def canonical_drift(g_raw: int, period: int) -> int:

@@ -81,10 +81,11 @@ def pair_rows(traces) -> PairRows:
         raise ValueError("no traces")
     matrix = np.stack([t.delivered for t in traces])
     points = rho_sample_points(matrix.shape[1])
-    # A count never exceeds the horizon: the narrowest type holding it is exact, and fastest.
-    # Each point's segment is summed, then the sums accumulate: no cumsum over every slot.
-    dt = np.min_scalar_type(matrix.shape[1])
-    counts = np.add.reduceat(matrix, [0, *points[:-1]], axis=1, dtype=dt).cumsum(axis=1, dtype=dt)
+    # Each point's segment (at most RHO_STRIDE slots) is summed, then the sums accumulate, in
+    # the narrowest exact types: no cumsum over every slot, and the stack is never widened.
+    sums = np.add.reduceat(matrix.view(np.uint8), [0, *points[:-1]], axis=1,
+                           dtype=np.min_scalar_type(RHO_STRIDE))
+    counts = sums.cumsum(axis=1, dtype=np.min_scalar_type(matrix.shape[1]))
     return PairRows(matrix.shape[1], counts, [t.first_delivery for t in traces],
                     [t.missync for t in traces])
 

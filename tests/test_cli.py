@@ -518,6 +518,22 @@ class TestExperimentCommand:
             out_dir = tmp_path / f"w{workers}"
             assert experiment_outputs(spec_path, out_dir, workers, records=False) == (0, csvs)
 
+    def test_chunk_size_does_not_change_results(self, tmp_path, monkeypatch):
+        # Every pair draws from its own streams, so neither how the pairs are cut into
+        # chunks nor which worker runs a chunk may change a byte. Forked workers inherit
+        # the patched size.
+        spec_path = tmp_path / "pool.spec"
+        spec_path.write_text(POOL_SPEC)
+        outputs = []
+        for chunk_pairs in (1, 7, 50):
+            monkeypatch.setattr(cli, "CHUNK_PAIRS", chunk_pairs)
+            for workers in (1, 2):
+                out_dir = tmp_path / f"chunk{chunk_pairs}-w{workers}"
+                outputs.append(experiment_outputs(spec_path, out_dir, workers))
+        code, first = outputs[0]
+        assert code == 0 and any(name.endswith(".ndjson") for name in first)
+        assert outputs == [(0, first)] * 6
+
     @pytest.mark.parametrize("workers,records", [(1, False), (2, False), (1, True), (2, True)],
                              ids=["1", "2", "1-records", "2-records"])
     def test_pool_rows_are_the_traces_rows_in_pair_order(self, workers, records):

@@ -267,8 +267,9 @@ class TestPairRows:
             metrics.latency_report(rows)
 
     def test_reduction_memory_grows_with_points_not_slots(self):
-        # 50 pairs x 100 000 slots: the stacked deliveries take 5 MB and the counts a
-        # uint32 per pair and segment; a uint32 cumsum over every slot peaked at 45 MB.
+        # 50 pairs x 100 000 slots: the stacked deliveries take 5 MB, the segment sums a
+        # uint8 and the counts a uint32 per pair and point (9.5 MB in all); widening the
+        # stack to uint32 before reducing peaked at 26 MB, a cumsum over every slot at 45 MB.
         rng = np.random.default_rng(3)
         traces = [fake_trace(rng.random(100_000) < 0.1) for _ in range(50)]
         tracemalloc.start()
@@ -277,7 +278,7 @@ class TestPairRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 36 * 2**20
+        assert peak < 12 * 2**20
 
     def test_no_traces(self):
         for reduce in (metrics.rho_series, metrics.latency_report, metrics.missync_rate):

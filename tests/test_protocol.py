@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skolemhop.hopping import delivery_channels, shift
 from skolemhop.protocol import (
     BroadcastSender,
     CssReceiver,
@@ -21,6 +20,8 @@ from skolemhop.protocol import (
 )
 from skolemhop.simenv import PairSimulation, SimConfig
 from skolemhop.skolem import EssSequence, ess_for_channel_count, make_channel_plan
+
+from test_hopping import delivery_channels, shift
 
 MU = EssSequence(order=3, values=(0, 0, 3, 1, 2, 1, 3, 2))
 

@@ -47,18 +47,22 @@ def enumerate_skolem(n: int) -> Iterator[tuple[int, ...]]:
     seq = [0] * size
     out: list[tuple[int, ...]] = []
 
-    def place(k: int) -> None:
+    def place(k: int, free: int) -> None:
+        # Bit i of `free` is set while slot i is empty; every slot is written again
+        # on the way to a full sequence, so a placement is never undone.
         if k == 0:
             out.append(tuple(seq))
             return
         d = k + 1
-        for i in range(size - d):
-            if seq[i] == 0 and seq[i + d] == 0:
-                seq[i] = seq[i + d] = k
-                place(k - 1)
-                seq[i] = seq[i + d] = 0
+        fits = free & free >> d  # bit i: slots i and i + d are both empty
+        while fits:
+            low = fits & -fits
+            i = low.bit_length() - 1
+            seq[i] = seq[i + d] = k
+            place(k - 1, free ^ low ^ low << d)
+            fits ^= low
 
-    place(n)
+    place(n, (1 << size) - 1)
     yield from out
 
 
