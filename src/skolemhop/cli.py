@@ -523,6 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No command calls BLAS; OpenBLAS's idle worker threads would spin anyway.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # Exit-time collections skip a frozen heap, which the OS frees anyway; one hook per process.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)

@@ -87,49 +87,67 @@ class EssSequence:
 def _fill_search(n: int) -> tuple[int, ...] | None:
     """Deterministic backtracking: values descending into the leftmost empty slot.
 
-    `free` is a bitmask of the empty slots.  This branching finds the
-    lexicographically greatest sequence first; `feasible` cuts only states
-    with no completion: an unused value j with no placement `m` (free slots p
-    and p + j + 1), a free slot in no placement, or a clash of forced values
-    (one placement each).  It places forced values and repeats until stable.
+    `free` is a bitmask of the empty slots; this branching finds the
+    lexicographically greatest sequence first.  `settle` places k at p and
+    then every forced value (one placement `m`: free slots p and p + j + 1),
+    or refutes the state: a value with no placement, a free slot in no
+    placement, or a clash of forced values.  Forced values are in every
+    completion, so the order of completions holds; refuted states go to `dead`.
+    The stack of levels is explicit: a recursive search ran up to 2x slower at
+    caller depths where it kept crossing a chunk of the interpreter's frame stack.
     """
-    size = 2 * n
-    seq = [0] * size
+    dead: set[tuple[int, ...]] = set()
 
-    def feasible(free: int, unused: list[int]) -> bool:
+    def settle(free: int, unused: list[int], p: int, k: int):
+        free ^= 1 << p | 1 << (p + k + 1)
+        placed = [(p, k)]
         while True:
             cover = forced = 0
             left = []
             for j in unused:
+                if j == k:
+                    continue
                 m = free & free >> (j + 1)
                 pair = m | m << (j + 1)
                 if m & (m - 1):
                     left.append(j)
                 elif not m or forced & pair:
-                    return False
+                    return None
                 else:
                     forced |= pair
+                    placed.append((m.bit_length() - 1, j))
                 cover |= pair
             if cover != free or not forced:
-                return cover == free
+                return ((free, *left), left, placed) if cover == free else None
             free ^= forced
             unused = left
 
-    def place(free: int, unused: list[int]) -> bool:
-        if not free:
-            return True
+    def branches(free: int, unused: list[int]):
         p = (free & -free).bit_length() - 1
         for k in unused:
-            q = p + k + 1
-            if free >> q & 1:
-                rest = free ^ (1 << p) ^ (1 << q)
-                others = [j for j in unused if j != k]
-                if feasible(rest, others) and place(rest, others):
-                    seq[p] = seq[q] = k
-                    return True
-        return False
+            if free >> (p + k + 1) & 1:
+                settled = settle(free, unused, p, k)
+                if settled is not None and settled[0] not in dead:
+                    yield settled
 
-    return tuple(seq) if place((1 << size) - 1, list(range(n, 0, -1))) else None
+    path = []  # the settled state taken at each level
+    levels = [branches((1 << 2 * n) - 1, list(range(n, 0, -1)))]
+    while levels:
+        for state, unused, placed in levels[-1]:
+            path.append((state, placed))
+            if not state[0]:
+                seq = [0] * (2 * n)
+                for _, placed in path:
+                    for i, j in placed:
+                        seq[i] = seq[i + j + 1] = j
+                return tuple(seq)
+            levels.append(branches(state[0], unused))
+            break
+        else:
+            levels.pop()
+            if path:
+                dead.add(path.pop()[0])
+    return None
 
 
 def construct_skolem(n: int) -> tuple[int, ...]:

@@ -330,6 +330,22 @@ class TestProcessExit:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "at exit: 1 True"
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="Linux /proc only")
+    def test_experiment_starts_no_blas_threads(self, tmp_path):
+        # OpenBLAS starts a worker thread on import unless told otherwise; the CLI
+        # never calls BLAS, so its process must stay single-threaded.
+        script = (
+            "import os, sys\n"
+            "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+            "from skolemhop import cli\n"
+            "assert cli.main(['experiment', '--preset', 'latency', '--pairs', '1',"
+            " '--out', sys.argv[1]]) == 0\n"
+            "print('threads:', len(os.listdir('/proc/self/task')))\n"
+        )
+        result = run_python("-c", script, str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "threads: 1"
+
     def test_module_run_loses_nothing_at_exit(self, tmp_path, capsys):
         spec_path = tmp_path / "tiny.spec"
         spec_path.write_text(TINY_SPEC)
