@@ -331,7 +331,7 @@ class TestProcessExit:
         assert result.stdout.splitlines()[-1] == "at exit: 1 True"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="Linux /proc only")
-    def test_experiment_starts_no_blas_threads(self, tmp_path):
+    def test_experiment_runs_on_one_thread(self, tmp_path):
         # OpenBLAS starts a worker thread on import unless told otherwise; the CLI
         # never calls BLAS, so its process must stay single-threaded.
         script = (
