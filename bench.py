@@ -1,18 +1,19 @@
 """A/B timing of this checkout against another commit, on the benchmark's workloads.
 
-    python3 bench.py [--against REV] [--pairs N] [--seconds S] --out BENCH.json
+    python3 bench.py [--against REV] [--pairs N] --out BENCH.json
 
 Each workload in BENCHMARK.json is run as
 `perfbench/run.py --workload W --trace 0 --seconds S`, N times in this
-checkout.  With `--against REV`, REV is exported with `git archive` into a
-temporary directory, removed afterwards, and each run here is paired with a
-run there; the side that runs first alternates from pair to pair.  For every
-metric and side the output records each run, the median and the quartiles,
-and, with `--against`, the pairs each side won (ties count for neither) and
-whether the gain rule holds: this side wins at least nine in ten pairs and
-the medians differ by more than the other side's interquartile range.  It
-also records both commits, `src_lines` per module for both sides, the
-Python and numpy versions and nproc.
+checkout, with S the benchmark's `run_seconds`.  With `--against REV`, REV
+is exported with `git archive` into a temporary directory, removed
+afterwards, and each run here is paired with a run there; the side that
+runs first alternates from pair to pair.  For every metric and side the
+output records each run, the median and the quartiles, and, with
+`--against`, the pairs each side won (ties count for neither) and whether
+the gain rule holds: this side wins at least nine in ten pairs and the
+medians differ by more than the other side's interquartile range.  It also
+records both commits, `src_lines` per module for both sides, the Python
+and numpy versions and nproc.
 """
 
 from __future__ import annotations
@@ -90,8 +91,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--against", metavar="REV", help="commit to pair each run with")
     parser.add_argument("--pairs", type=int, default=10, help="runs per side and workload")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                        help="run length of each perfbench run")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -114,7 +113,7 @@ def main(argv=None) -> int:
             order = list(roots) if i % 2 == 0 else list(roots)[::-1]
             for w in workloads:
                 for side in order:
-                    runs[w][side].append(run_workload(roots[side], w, args.seconds))
+                    runs[w][side].append(run_workload(roots[side], w, spec["run_seconds"]))
                     print(f"pair {i + 1}/{args.pairs} {w} {side}: "
                           f"{runs[w][side][-1]['metrics']['wall_s']['value']:.4f} s",
                           file=sys.stderr)
@@ -133,7 +132,7 @@ def main(argv=None) -> int:
         "numpy": importlib.metadata.version("numpy"),
         "nproc": os.cpu_count(),
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "src_lines": lines,
         "workloads": {
             w: {

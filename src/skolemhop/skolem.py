@@ -87,25 +87,24 @@ class EssSequence:
 def _fill_search(n: int) -> tuple[int, ...] | None:
     """Deterministic backtracking: values descending into the leftmost empty slot.
 
-    `free` is a bitmask of the empty slots; this branching finds the
-    lexicographically greatest sequence first.  `settle` places k at p and
-    then every forced value (one placement `m`: free slots p and p + j + 1),
-    or refutes the state: a value with no placement, a free slot in no
-    placement, or a clash of forced values.  Forced values are in every
-    completion, so the order of completions holds; refuted states go to `dead`.
-    The stack of levels is explicit: a recursive search ran up to 2x slower at
-    caller depths where it kept crossing a chunk of the interpreter's frame stack.
+    `free` is a bitmask of the empty slots.  This branching finds the
+    lexicographically greatest sequence first.  After each placement `settle`
+    places every forced value (an unused j with one placement `m`: free slots
+    p and p + j + 1) until none is left, or refutes the state: a value with no
+    placement, a free slot in no placement, or a clash of forced values.
+    Forced values are in every completion, so the search goes on from the
+    settled state, in the same order, and writes them once it succeeds.
     """
-    dead: set[tuple[int, ...]] = set()
+    size = 2 * n
+    seq = [0] * size
 
-    def settle(free: int, unused: list[int], p: int, k: int):
-        free ^= 1 << p | 1 << (p + k + 1)
-        placed = [(p, k)]
+    def settle(free: int, unused: list[int], skip: int):
+        placed = []
         while True:
             cover = forced = 0
             left = []
             for j in unused:
-                if j == k:
+                if j == skip:
                     continue
                 m = free & free >> (j + 1)
                 pair = m | m << (j + 1)
@@ -118,36 +117,26 @@ def _fill_search(n: int) -> tuple[int, ...] | None:
                     placed.append((m.bit_length() - 1, j))
                 cover |= pair
             if cover != free or not forced:
-                return ((free, *left), left, placed) if cover == free else None
+                return (free, left, placed) if cover == free else None
             free ^= forced
             unused = left
 
-    def branches(free: int, unused: list[int]):
+    def place(free: int, unused: list[int]) -> bool:
+        if not free:
+            return True
         p = (free & -free).bit_length() - 1
         for k in unused:
-            if free >> (p + k + 1) & 1:
-                settled = settle(free, unused, p, k)
-                if settled is not None and settled[0] not in dead:
-                    yield settled
-
-    path = []  # the settled state taken at each level
-    levels = [branches((1 << 2 * n) - 1, list(range(n, 0, -1)))]
-    while levels:
-        for state, unused, placed in levels[-1]:
-            path.append((state, placed))
-            if not state[0]:
-                seq = [0] * (2 * n)
-                for _, placed in path:
-                    for i, j in placed:
+            q = p + k + 1
+            if free >> q & 1:
+                settled = settle(free ^ (1 << p) ^ (1 << q), unused, k)
+                if settled is not None and place(settled[0], settled[1]):
+                    seq[p] = seq[q] = k
+                    for i, j in settled[2]:
                         seq[i] = seq[i + j + 1] = j
-                return tuple(seq)
-            levels.append(branches(state[0], unused))
-            break
-        else:
-            levels.pop()
-            if path:
-                dead.add(path.pop()[0])
-    return None
+                    return True
+        return False
+
+    return tuple(seq) if place((1 << size) - 1, list(range(n, 0, -1))) else None
 
 
 def construct_skolem(n: int) -> tuple[int, ...]:
