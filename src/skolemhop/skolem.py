@@ -93,10 +93,13 @@ def _fill_search(n: int) -> tuple[int, ...] | None:
     p and p + j + 1) until none is left, or refutes the state: a value with no
     placement, a free slot in no placement, or a clash of forced values.
     Forced values are in every completion, so the search goes on from the
-    settled state, in the same order, and writes them once it succeeds.
+    settled state, in the same order, and writes them once it succeeds.  A
+    settled state (free slots and unused values) that has no completion goes
+    into `dead`, for the rest of the call, and is never searched again.
     """
     size = 2 * n
     seq = [0] * size
+    dead: set[tuple[int, ...]] = set()
 
     def settle(free: int, unused: list[int], skip: int):
         placed = []
@@ -129,11 +132,18 @@ def _fill_search(n: int) -> tuple[int, ...] | None:
             q = p + k + 1
             if free >> q & 1:
                 settled = settle(free ^ (1 << p) ^ (1 << q), unused, k)
-                if settled is not None and place(settled[0], settled[1]):
+                if settled is None:
+                    continue
+                rest, others, placed = settled
+                state = (rest, *others)
+                if state in dead:
+                    continue
+                if place(rest, others):
                     seq[p] = seq[q] = k
-                    for i, j in settled[2]:
+                    for i, j in placed:
                         seq[i] = seq[i + j + 1] = j
                     return True
+                dead.add(state)
         return False
 
     return tuple(seq) if place((1 << size) - 1, list(range(n, 0, -1))) else None
