@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 EXISTENCE_CONDITION = "congruent to 0 or 3 modulo 4"
-MAX_ORDER = 79  # N' <= 80: each builds in < 0.2 s; past it the time has no bound (99: ~30 s)
+MAX_ORDER = 79  # N' <= 80: each builds in < 0.25 s; past it the time has no bound (99: ~30 s)
 
 
 def _order_exists(n: int) -> bool:
