@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 EXISTENCE_CONDITION = "congruent to 0 or 3 modulo 4"
-MAX_ORDER = 79  # N' <= 80: each builds in < 0.25 s; past it the time has no bound (99: ~30 s)
+MAX_ORDER = 79  # the largest tabulated order: N' <= 80
 
 
 def _order_exists(n: int) -> bool:
@@ -84,76 +84,89 @@ class EssSequence:
         return self.order + 1
 
 
-def _fill_search(n: int) -> tuple[int, ...] | None:
-    """Deterministic backtracking: values descending into the leftmost empty slot.
-
-    `free` is a bitmask of the empty slots.  This branching finds the
-    lexicographically greatest sequence first.  After each placement `settle`
-    places every forced value (an unused j with one placement `m`: free slots
-    p and p + j + 1) until none is left, or refutes the state: a value with no
-    placement, a free slot in no placement, or a clash of forced values.
-    Forced values are in every completion, so the search goes on from the
-    settled state, in the same order, and writes them once it succeeds.  A
-    settled state (free slots and unused values) that has no completion goes
-    into `dead`, for the rest of the call, and is never searched again.
-    """
-    size = 2 * n
-    seq = [0] * size
-    dead: set[tuple[int, ...]] = set()
-
-    def settle(free: int, unused: list[int], skip: int):
-        placed = []
-        while True:
-            cover = forced = 0
-            left = []
-            for j in unused:
-                if j == skip:
-                    continue
-                m = free & free >> (j + 1)
-                pair = m | m << (j + 1)
-                if m & (m - 1):
-                    left.append(j)
-                elif not m or forced & pair:
-                    return None
-                else:
-                    forced |= pair
-                    placed.append((m.bit_length() - 1, j))
-                cover |= pair
-            if cover != free or not forced:
-                return (free, left, placed) if cover == free else None
-            free ^= forced
-            unused = left
-
-    def place(free: int, unused: list[int]) -> bool:
-        if not free:
-            return True
-        p = (free & -free).bit_length() - 1
-        for k in unused:
-            q = p + k + 1
-            if free >> q & 1:
-                settled = settle(free ^ (1 << p) ^ (1 << q), unused, k)
-                if settled is None:
-                    continue
-                rest, others, placed = settled
-                state = (rest, *others)
-                if state in dead:
-                    continue
-                if place(rest, others):
-                    seq[p] = seq[q] = k
-                    for i, j in placed:
-                        seq[i] = seq[i + j + 1] = j
-                    return True
-                dead.add(state)
-        return False
-
-    return tuple(seq) if place((1 << size) - 1, list(range(n, 0, -1))) else None
+# The lexicographically greatest sequence of each order 3..MAX_ORDER, as the first slot p of
+# each value k = n, n - 1, ..., 1 (k sits at p and p + k + 1).  tests/test_skolem.py re-derives
+# every entry with a backtracking search and prints a differing entry in this format.
+_FIRST_SLOTS = {
+    3: "0 2 1",
+    4: "0 2 4 1",
+    7: "0 5 3 1 7 10 2",
+    8: "0 4 1 5 2 10 3 13",
+    11: "0 4 1 7 2 6 3 14 17 5 18",
+    12: "0 2 1 6 8 7 3 5 4 18 20 19",
+    15: "0 2 1 9 8 3 18 4 19 5 23 6 21 7 24",
+    16: "0 2 1 6 9 3 10 4 19 5 24 23 7 26 8 25",
+    19: "0 2 1 5 9 3 12 4 11 24 6 27 7 30 8 29 28 10 31",
+    20: "0 2 1 5 8 3 11 4 14 12 6 28 7 29 32 9 31 30 10 33",
+    23: "0 2 1 5 7 3 12 4 13 16 6 15 32 8 33 9 34 10 39 35 37 11 36",
+    24: "0 2 1 5 7 3 11 4 14 16 6 29 33 8 34 9 38 10 37 35 12 36 39 13",
+    27: "0 2 1 5 7 3 10 4 13 16 6 17 36 8 37 9 38 42 11 39 12 40 43 14 41 15 44",
+    28: "0 2 1 5 7 3 10 4 13 16 6 19 18 8 38 9 39 43 11 40 12 41 47 14 46 44 42 15",
+    31: "0 2 1 5 7 3 10 4 13 15 6 18 21 8 22 9 42 44 11 43 12 50 45 14 49 46 54 47 16 48 17",
+    32: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 42 9 43 47 11 44 12 45 51 14 46 48 16 53 17 50 49 19",
+    35: "0 2 1 5 7 3 10 4 13 15 6 18 21 8 22 9 46 48 11 47 12 50 49 14 57 51 16 59 17 54 52 19 56 "
+        "20 53",
+    36: "0 2 1 5 7 3 10 4 13 15 6 18 22 8 45 9 46 49 11 48 12 55 50 14 51 58 16 52 17 53 56 19 54 "
+        "20 57 21",
+    39: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 24 9 49 51 11 54 12 52 58 14 53 55 16 64 17 61 56 19 57 "
+        "60 21 63 22 59 23",
+    40: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 24 9 25 52 11 53 12 54 59 14 55 57 16 56 17 67 58 19 68 "
+        "63 21 60 22 61 23 62",
+    43: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 56 12 57 60 14 58 66 16 59 17 62 61 19 67 "
+        "73 21 74 22 63 65 24 64 69 25",
+    44: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 27 55 11 58 12 57 59 14 65 60 16 61 17 62 70 19 63 "
+        "75 21 64 22 69 66 24 67 25 68 26",
+    47: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 29 11 59 12 62 61 14 66 63 16 64 17 65 75 19 67 "
+        "76 21 68 22 69 82 24 70 25 73 72 27 71 28",
+    48: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 29 11 30 12 62 64 14 63 65 16 73 17 66 68 19 67 "
+        "69 21 79 22 82 70 24 83 25 71 74 27 72 28 75",
+    51: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 66 14 67 70 16 68 17 69 72 19 71 "
+        "82 21 73 22 85 74 24 86 25 89 78 27 76 75 79 29 77 30",
+    52: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 32 12 65 67 14 70 68 16 69 17 76 71 19 72 "
+        "82 21 73 22 74 86 24 75 25 92 77 27 81 78 29 79 30 80 31",
+    55: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 70 14 71 74 16 72 17 73 76 19 75 "
+        "86 21 77 22 78 90 24 79 25 80 93 27 96 81 29 84 30 83 82 32 85 33",
+    56: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 36 14 72 74 16 73 17 76 75 19 85 "
+        "77 21 78 22 79 89 24 80 25 81 95 27 82 87 29 83 30 86 84 32 107 88 33",
+    59: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 36 73 14 74 77 16 76 17 82 78 19 79 "
+        "90 21 80 22 81 84 24 83 25 98 97 27 85 101 29 87 30 92 86 32 89 33 88 34 91 35",
+    60: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 37 14 75 77 16 80 17 78 84 19 79 "
+        "81 21 85 22 82 94 24 83 25 86 98 27 103 87 29 88 30 107 89 32 92 33 91 90 35 93 36",
+    63: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 36 14 39 80 16 81 17 82 86 19 83 "
+        "85 21 84 22 87 98 24 88 25 89 102 27 90 103 29 91 30 92 97 32 93 33 96 100 35 95 94 37 "
+        "122 38",
+    64: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 36 14 39 41 16 82 17 83 86 19 84 "
+        "90 21 85 22 88 87 24 101 25 89 91 27 105 92 29 93 30 103 109 32 94 33 97 99 35 95 98 37 "
+        "96 124 38",
+    67: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 36 14 41 83 16 84 17 88 86 19 87 "
+        "93 21 89 22 90 103 24 91 25 92 95 27 94 109 29 96 30 112 115 32 114 33 97 99 35 98 104 "
+        "37 100 38 101 39 102 40",
+    68: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 36 14 39 42 16 85 17 88 87 19 92 "
+        "89 21 90 22 91 103 24 93 25 94 107 27 95 97 29 96 30 111 98 32 115 33 99 105 35 101 100 "
+        "37 106 38 102 104 40 132 41",
+    71: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 36 14 39 41 16 44 17 90 92 19 91 "
+        "93 21 98 22 94 96 24 95 25 111 97 27 101 99 29 100 30 114 117 32 102 33 103 123 35 104 "
+        "109 37 105 38 110 107 40 106 108 42 137 43",
+    72: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 36 14 39 41 16 44 17 47 92 19 93 "
+        "96 21 94 22 95 98 24 97 25 109 99 27 100 114 29 101 30 102 115 32 103 33 104 107 35 105 "
+        "113 37 106 38 111 108 40 112 110 138 42 139 43",
+    75: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 36 14 39 41 16 46 17 93 96 19 94 "
+        "98 21 102 22 97 99 24 103 25 100 115 27 101 105 29 118 30 104 106 32 122 33 107 127 35 "
+        "108 116 37 109 38 110 113 40 111 120 42 112 43 144 44 114 45",
+    76: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 36 14 39 41 16 44 17 47 96 19 97 "
+        "100 21 98 22 99 102 24 101 25 116 103 27 104 117 29 105 30 106 109 32 107 33 108 128 35 "
+        "127 129 37 110 38 111 119 40 113 112 42 115 43 114 145 45 118 46",
+    79: "0 2 1 5 7 3 10 4 13 15 6 18 20 8 23 9 26 28 11 31 12 34 36 14 39 41 16 44 17 47 49 19 "
+        "100 102 21 101 22 104 103 24 110 25 105 107 27 106 108 29 124 30 109 111 32 125 33 112 "
+        "129 35 113 136 37 114 38 115 138 40 116 121 42 117 43 118 123 45 120 46 151 119 48",
+}
 
 
 def construct_skolem(n: int) -> tuple[int, ...]:
     """The lexicographically greatest order-n values, for n % 4 in (0, 3) and n <= MAX_ORDER.
 
-    A pruned backtracking search (see `_fill_search`); the result is
-    validated by whoever wraps it (`EssSequence`, or `sequence --order`).
+    Read from a table; the result is validated by whoever wraps it
+    (`EssSequence`, or `sequence --order`).
     """
     if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise TypeError(f"order must be an integer, got {n!r}")
@@ -164,10 +177,10 @@ def construct_skolem(n: int) -> tuple[int, ...]:
         )
     if n > MAX_ORDER:
         raise ValueError(f"order {n} > {MAX_ORDER}: at most {MAX_ORDER + 1} effective channels")
-    found = _fill_search(n)
-    if found is None:
-        raise RuntimeError(f"search failed for order {n} despite existence")
-    return found
+    seq = [0] * (2 * n)
+    for k, p in zip(range(n, 0, -1), map(int, _FIRST_SLOTS[n].split())):
+        seq[p] = seq[p + k + 1] = k
+    return tuple(seq)
 
 
 @dataclass(frozen=True)

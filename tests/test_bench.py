@@ -1,6 +1,9 @@
-"""The repo-root A/B script's summary of paired runs (`bench.summarize`)."""
+"""The repo-root A/B script: its summary of paired runs and what it parses."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,31 @@ def test_one_side_and_one_run():
     got = bench.summarize([0.5], None, "lower")
     assert got == {"better": "lower",
                    "this": {"median": 0.5, "q1": 0.5, "q3": 0.5, "runs": [0.5]}}
+
+
+def test_pytest_counts_read_the_summary_line():
+    out = "..x.F [100%]\n1 failed, 736 passed, 10 xfailed, 2 warnings in 20.40s\n"
+    assert bench.pytest_counts(out) == {"failed": 1, "passed": 736, "xfailed": 10,
+                                        "warnings": 2}
+    assert bench.pytest_counts("5 passed, 1 deselected in 0.12s") == {"passed": 5,
+                                                                      "deselected": 1}
+    # Only the last line counts, not what a test printed before it.
+    assert bench.pytest_counts("3 passed\nno tests ran in 0.01s\n") == {}
+    assert bench.pytest_counts("") == {}
+
+
+def test_csv_digest_is_sha256_of_the_sha256sum_listing(tmp_path):
+    (tmp_path / "b.csv").write_bytes(b"2\n")
+    (tmp_path / "a.csv").write_bytes(b"1\n")
+    (tmp_path / "c.ndjson").write_bytes(b"{}\n")
+    # `printf '1\n' > a.csv; printf '2\n' > b.csv; sha256sum *.csv | sha256sum`
+    assert bench.csv_digest(tmp_path) == (
+        "ffa316d1dfc28adc171ad727498624f20943b24bd0fc8f3bf6a3ffa9e227104c")
+
+
+def test_lean_parent_reports_the_command():
+    done = subprocess.run([sys.executable, "-S", "-c", bench.TIMER, sys.executable, "-c",
+                           "raise SystemExit(3)"], capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout)
+    assert got["code"] == 3
+    assert got["wall_s"] > 0 and got["cpu_s"] >= 0 and got["peak_rss_mb"] > 0

@@ -230,6 +230,14 @@ class TestTheoremsCommand:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
             "565eb841769eb617bb5f2f994a749d4359c7e001011e7a16281206a6d61d21b8")
 
+    def test_every_admissible_count_past_64_passes(self, capsys):
+        # The rest of the counts the construction accepts, N' 65..80, by their two PASS lines.
+        for n_eff in range(65, skolem.MAX_ORDER + 2):
+            if n_eff % 4 in (0, 1):
+                assert run_cli(["theorems", str(n_eff)]) == 0, n_eff
+                out = capsys.readouterr().out
+                assert out.count(": PASS\n") == 2 and "FAIL" not in out, n_eff
+
     def test_inadmissible_count_rejected(self, capsys):
         assert run_cli(["theorems", "6"]) == 2
         assert "congruent to 0 or 1" in capsys.readouterr().err
@@ -240,11 +248,8 @@ class TestTheoremsCommand:
 
     def test_count_above_bound_rejected_before_construction(self, capsys, monkeypatch,
                                                             tmp_path):
-        # Every command refuses an order past the search's bound before a search starts.
-        def no_search(n):
-            raise AssertionError("construction started")
-
-        monkeypatch.setattr(skolem, "_fill_search", no_search)
+        # Every command refuses an order past the table's bound before it reads the table.
+        monkeypatch.setattr(skolem, "_FIRST_SLOTS", {})  # any read of the table raises
         out_dir = tmp_path / "out"
         for argv in (["theorems", "84"], ["sequence", "--order", "83"],
                      ["sequence", "--channels", "100"],

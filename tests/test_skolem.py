@@ -1,10 +1,12 @@
 """Sequence construction, verification, and channel-plan tests.
 
 `enumerate_skolem`, the brute-force enumerator, is the small-order oracle
-for `construct_skolem`.
+for `construct_skolem`; `_fill_search`, a pruned backtracking search, is the
+reference that re-derives every entry of its table.
 """
 
 import hashlib
+import textwrap
 from typing import Iterator
 
 import pytest
@@ -29,8 +31,8 @@ ADMISSIBLE_ORDERS_BELOW_64 = [n for n in range(1, 64) if n % 4 in (0, 3)]
 # pins the constructed sequences (order 11 is the presets' N' = 12).
 SEQUENCE_DIGEST_ORDERS = [n for n in ADMISSIBLE_ORDERS_BELOW_64 if n != 31]
 SEQUENCE_DIGEST = "eaafd226118383937767a473f8eb1e1f98cc1cb5de3f72066681e74c333e826c"
-# The same pin for order 31 and the admissible orders 64..79 (about 0.6 s on
-# a 2-core VM); taken before the search gained its forced-placement cut.
+# The same pin for order 31 and the admissible orders 64..79, taken from the
+# search before it gained its forced-placement cut.
 LARGE_DIGEST_ORDERS = [31] + [n for n in range(64, 80) if n % 4 in (0, 3)]
 LARGE_DIGEST = "8167b6b8aa20eb084aa52b3c7a55773216cf4e9cec590a77d0642c71db7ad044"
 
@@ -64,6 +66,80 @@ def enumerate_skolem(n: int) -> Iterator[tuple[int, ...]]:
 
     place(n, (1 << size) - 1)
     yield from out
+
+
+def _fill_search(n: int) -> tuple[int, ...] | None:
+    """Deterministic backtracking: values descending into the leftmost empty slot.
+
+    `free` is a bitmask of the empty slots.  This branching finds the
+    lexicographically greatest sequence first.  After each placement `settle`
+    places every forced value (an unused j with one placement `m`: free slots
+    p and p + j + 1) until none is left, or refutes the state: a value with no
+    placement, a free slot in no placement, or a clash of forced values.
+    Forced values are in every completion, so the search goes on from the
+    settled state, in the same order, and writes them once it succeeds.  A
+    settled state (free slots and unused values) that has no completion goes
+    into `dead`, for the rest of the call, and is never searched again.
+    """
+    size = 2 * n
+    seq = [0] * size
+    dead: set[tuple[int, ...]] = set()
+
+    def settle(free: int, unused: list[int], skip: int):
+        placed = []
+        while True:
+            cover = forced = 0
+            left = []
+            for j in unused:
+                if j == skip:
+                    continue
+                m = free & free >> (j + 1)
+                pair = m | m << (j + 1)
+                if m & (m - 1):
+                    left.append(j)
+                elif not m or forced & pair:
+                    return None
+                else:
+                    forced |= pair
+                    placed.append((m.bit_length() - 1, j))
+                cover |= pair
+            if cover != free or not forced:
+                return (free, left, placed) if cover == free else None
+            free ^= forced
+            unused = left
+
+    def place(free: int, unused: list[int]) -> bool:
+        if not free:
+            return True
+        p = (free & -free).bit_length() - 1
+        for k in unused:
+            q = p + k + 1
+            if free >> q & 1:
+                settled = settle(free ^ (1 << p) ^ (1 << q), unused, k)
+                if settled is None:
+                    continue
+                rest, others, placed = settled
+                state = (rest, *others)
+                if state in dead:
+                    continue
+                if place(rest, others):
+                    seq[p] = seq[q] = k
+                    for i, j in placed:
+                        seq[i] = seq[i + j + 1] = j
+                    return True
+                dead.add(state)
+        return False
+
+    return tuple(seq) if place((1 << size) - 1, list(range(n, 0, -1))) else None
+
+
+def table_entry(n: int, values: tuple[int, ...]) -> str:
+    """The order-n values as their `skolem._FIRST_SLOTS` entry: first slots of k = n..1."""
+    head = f"    {n}: "
+    pieces = textwrap.wrap(" ".join(str(values.index(k)) for k in range(n, 0, -1)),
+                           99 - len(head) - 3)
+    lines = [f'"{piece} "' for piece in pieces[:-1]] + [f'"{pieces[-1]}",']
+    return "\n".join([head + lines[0]] + [" " * len(head) + line for line in lines[1:]])
 
 
 def independent_check(values, zero_based=False):
@@ -143,11 +219,8 @@ class TestConstruct:
             construct_skolem(n)
 
     def test_orders_past_the_bound_refused_before_the_search(self, monkeypatch):
-        def no_search(n):
-            raise AssertionError("search started")
-
-        monkeypatch.setattr(skolem, "_fill_search", no_search)
-        for n in (MAX_ORDER + 4, 99):  # 83 searches for seconds, 99 for about a minute
+        monkeypatch.setattr(skolem, "_FIRST_SLOTS", {})  # any read of the table raises
+        for n in (MAX_ORDER + 4, 99):
             with pytest.raises(ValueError, match=f"at most {MAX_ORDER + 1} effective channels"):
                 construct_skolem(n)
         with pytest.raises(ValueError, match=f"at most {MAX_ORDER + 1} effective channels"):
@@ -170,9 +243,18 @@ class TestConstruct:
         solutions = set(enumerate_skolem(n))
         assert construct_skolem(n) in solutions
 
+    def test_table_holds_every_admissible_order_up_to_the_bound(self):
+        assert MAX_ORDER == 79
+        assert list(skolem._FIRST_SLOTS) == [n for n in range(MAX_ORDER + 1) if _order_exists(n)]
+
+    @pytest.mark.parametrize("n", [n for n in range(MAX_ORDER + 1) if _order_exists(n)])
+    def test_table_entry_is_the_reference_search(self, n):
+        found = _fill_search(n)
+        assert construct_skolem(n) == found, "the reference search gives\n" + table_entry(n, found)
+
     @pytest.mark.parametrize("n", [3, 4, 7, 8, 11])
     def test_lexicographically_greatest(self, n):
-        # The search's specification; order 11 has 35 584 solutions (~2 s).
+        # The table's specification; order 11 has 35 584 solutions (~2 s).
         assert construct_skolem(n) == max(enumerate_skolem(n))
 
     def test_sequence_digest(self):
@@ -184,7 +266,9 @@ class TestConstruct:
         assert hashlib.sha256(repr(values).encode()).hexdigest() == LARGE_DIGEST
 
     def test_deterministic(self):
-        assert construct_skolem(12) == construct_skolem(12)
+        # The refuted-state set is the call's own: a second search meets none of the first's.
+        first = _fill_search(12)
+        assert first is not None and _fill_search(12) == first
 
     def test_oracle_counts(self):
         # Known solution counts (both chiralities) for the smallest orders.
