@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import importlib.metadata
 import json
 import os
-import hashlib
 import platform
 import re
 import shutil
@@ -131,12 +131,13 @@ def run_preset(root: Path, workers: int) -> dict:
 
 def pytest_counts(output: str) -> dict[str, int]:
     """Outcome counts from the summary line that ends `pytest -q`'s output."""
-    summary = output.strip().splitlines()[-1] if output.strip() else ""
+    summary = (output.strip().splitlines() or [""])[-1]
     return {word: int(count) for count, word in re.findall(
         r"(\d+) (passed|failed|xfailed|xpassed|skipped|errors?|warnings?|deselected)", summary)}
 
 
 def run_tier1(root: Path) -> dict:
+    """One Tier-1 run: its wall time, exit status and outcome counts."""
     t0 = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
