@@ -136,6 +136,7 @@ def _fill_search(n: int) -> tuple[int, ...] | None:
 def table_entry(n: int, values: tuple[int, ...]) -> str:
     """The order-n values as their `skolem._FIRST_SLOTS` entry: first slots of k = n..1."""
     head = f"    {n}: "
+    # Lines of at most 99 columns: the head, two quotes and a trailing space or comma.
     pieces = textwrap.wrap(" ".join(str(values.index(k)) for k in range(n, 0, -1)),
                            99 - len(head) - 3)
     lines = [f'"{piece} "' for piece in pieces[:-1]] + [f'"{pieces[-1]}",']
