@@ -8,12 +8,12 @@ checkout, with S the benchmark's `run_seconds`.  In each pair, the full
 `experiment --preset delivery-rate` also runs once at `--workers 1` and
 once at `--workers 2`, each from a fresh `python3 -S` parent that reports
 the command's wall time and its children's CPU time and peak RSS
-(`RUSAGE_CHILDREN`); its CSV digest must be `PRESET_DIGEST`.  After the
-pairs, Tier-1 (`pytest -q`) runs twice per side, for its wall time and its
-outcome counts.  With `--against REV`, REV is exported with `git archive`
-into a temporary directory, removed afterwards, and each run here is
-paired with a run there; the side that runs first alternates from pair to
-pair.  For every metric and side the output records each run, the median
+(`RUSAGE_CHILDREN`); its CSV digest must be the `PRESET_GOLDEN` that the
+same side's `perfbench/workloads.py` pins.  After the pairs, Tier-1
+(`pytest -q`) runs twice per side, for its wall time and its outcome
+counts.  With `--against REV`, REV is exported with `git archive` into a
+temporary directory, removed afterwards, and each run here is paired with
+a run there; the side that runs first alternates from pair to pair.  For every metric and side the output records each run, the median
 and the quartiles, and, with `--against`, the pairs each side won (ties
 count for neither) and whether the gain rule holds: this side wins at
 least nine in ten pairs and the medians differ by more than the other
@@ -31,6 +31,7 @@ import json
 import os
 import platform
 import re
+import runpy
 import shutil
 import statistics
 import subprocess
@@ -40,8 +41,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
-# sha256 of the `sha256sum *.csv` listing of the full delivery-rate preset, at any --workers.
-PRESET_DIGEST = "035cb85f1ef1be03b7330e0d67a79b6ab64f673073dfa9468c953da0c82c708f"
 PRESET_WORKERS = (1, 2)
 TIER1_RUNS = 2
 # Run as `python3 -S -c TIMER command...`: the parent imports little, so the largest
@@ -116,6 +115,11 @@ def csv_digest(out: Path) -> str:
     return hashlib.sha256(listing.encode()).hexdigest()
 
 
+def preset_golden(root: Path) -> str:
+    """The full delivery-rate preset's digest, at any --workers, as root's benchmark pins it."""
+    return runpy.run_path(str(root / "perfbench" / "workloads.py"))["PRESET_GOLDEN"]
+
+
 def run_preset(root: Path, workers: int) -> dict:
     """The full delivery-rate preset, timed from a lean parent, with its digest checked."""
     with tempfile.TemporaryDirectory(prefix="bench-preset-") as out:
@@ -125,7 +129,8 @@ def run_preset(root: Path, workers: int) -> dict:
             cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True,
             text=True, check=True)
         result = json.loads(done.stdout)
-        result["digest_ok"] = result.pop("code") == 0 and csv_digest(Path(out)) == PRESET_DIGEST
+        result["digest_ok"] = (result.pop("code") == 0
+                               and csv_digest(Path(out)) == preset_golden(root))
     return result
 
 

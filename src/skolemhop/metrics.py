@@ -39,6 +39,9 @@ LATENCY_WINDOWS = (50, 100, 150, 200)
 # rho(t) is sampled densely early on, then strided to bound output size.
 RHO_DENSE_LIMIT = 200
 RHO_STRIDE = 10
+# rho_series' float64 working set, which holds two values (the rho and its deviation from the
+# mean) per pair and point: it sets how many points a block of columns takes.
+RHO_BLOCK_BYTES = 1 << 23
 
 
 def rho_sample_points(horizon: int) -> list[int]:
@@ -97,18 +100,26 @@ def join_rows(parts: Sequence[PairRows]) -> PairRows:
                     [m for p in parts for m in p.missync])
 
 
-def rho_series(data) -> RhoSeries:
-    """rho(t) from a trace list or its rows."""
-    rows = pair_rows(data)
-    points = rho_sample_points(rows.horizon)
+def _rho_moments(counts: np.ndarray, points: list[int]) -> tuple[list[float], list[float]]:
+    """Each point's mean and std of rho over the pairs (rows), from their counts."""
     # Column-major, as a column gather of the counts leaves it: numpy then sums
     # each point's column pairwise, which fixes the floats the CSVs print.
-    per_pair = np.asfortranarray(rows.counts) / np.asarray(points)
-    return RhoSeries(
-        points=tuple(points),
-        mean=tuple(per_pair.mean(axis=0).tolist()),
-        stddev=tuple(per_pair.std(axis=0).tolist()),
-    )
+    per_pair = np.asfortranarray(counts) / np.asarray(points)
+    return per_pair.mean(axis=0).tolist(), per_pair.std(axis=0).tolist()
+
+
+def rho_series(data) -> RhoSeries:
+    """rho(t) from a trace list or its rows, reduced a block of points at a time: each
+    point's column is the same contiguous values whatever the block, and so are its floats."""
+    rows = pair_rows(data)
+    points = rho_sample_points(rows.horizon)
+    width = max(1, RHO_BLOCK_BYTES // (16 * len(rows.counts)))
+    mean, stddev = [], []
+    for j in range(0, len(points), width):
+        block_mean, block_stddev = _rho_moments(rows.counts[:, j:j + width], points[j:j + width])
+        mean += block_mean
+        stddev += block_stddev
+    return RhoSeries(points=tuple(points), mean=tuple(mean), stddev=tuple(stddev))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ search with the calibration permanently disabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # numpy is named only in annotations
     import numpy as np
@@ -37,8 +36,7 @@ __all__ = [
 PROTOCOLS = ("sass", "rch", "css")
 
 
-@dataclass(frozen=True)
-class SlotObservation:
+class SlotObservation(NamedTuple):
     """Outcome of one slot: whether a delivery happened on the tuned channel."""
 
     delivered: bool

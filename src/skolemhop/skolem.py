@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "EssSequence",
@@ -59,20 +58,20 @@ def verify_skolem(values: Sequence[int], zero_based: bool = False) -> bool:
     return seen_twice == set(range(lo, lo + distinct)) and len(first) == distinct
 
 
-@dataclass(frozen=True)
-class EssSequence:
-    """A validated extended sequence of order n (values 0..n, length 2(n+1))."""
-
+class _EssFields(NamedTuple):
     order: int
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != 2 * (self.order + 1) or not verify_skolem(
-            self.values, zero_based=True
-        ):
-            raise ValueError(
-                f"not a valid order-{self.order} extended sequence: {self.values}"
-            )
+
+class EssSequence(_EssFields):
+    """A validated extended sequence of order n (values 0..n, length 2(n+1))."""
+
+    __slots__ = ()
+
+    def __new__(cls, order: int, values: tuple[int, ...]):
+        if len(values) != 2 * (order + 1) or not verify_skolem(values, zero_based=True):
+            raise ValueError(f"not a valid order-{order} extended sequence: {values}")
+        return super().__new__(cls, order, values)
 
     @property
     def period(self) -> int:
@@ -183,8 +182,7 @@ def construct_skolem(n: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
-@dataclass(frozen=True)
-class ChannelPlan:
+class ChannelPlan(NamedTuple):
     """Maps N physical channels onto N' effective ones (N' % 4 in (0, 1)).
 
     Padding adds alias channels on top (effective i >= N aliases physical

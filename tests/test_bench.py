@@ -1,7 +1,9 @@
 """The repo-root A/B script: its summary of paired runs and what it parses."""
 
+import hashlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +78,33 @@ def test_lean_parent_reports_the_command():
     got = json.loads(done.stdout)
     assert got["code"] == 3
     assert got["wall_s"] > 0 and got["cpu_s"] >= 0 and got["peak_rss_mb"] > 0
+
+
+def fake_root(path: Path, golden: str) -> Path:
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "workloads.py").write_text(f"PRESET_GOLDEN = {golden!r}\n")
+    return path
+
+
+def test_preset_golden_is_read_from_the_benchmark():
+    assert re.fullmatch("[0-9a-f]{64}", bench.preset_golden(bench.ROOT))
+
+
+def test_each_side_checks_the_preset_against_its_own_golden(tmp_path, monkeypatch):
+    # The command is faked: it writes one CSV into its --out and reports success. A side
+    # whose workloads.py pins that CSV's digest passes; one pinning another digest fails.
+    csv = b"protocol\r\n"
+
+    def fake_run(argv, **kwargs):
+        out = Path(argv[argv.index("--out") + 1])
+        (out / "rho_pu0.csv").write_bytes(csv)
+        stdout = json.dumps({"code": 0, "wall_s": 1.0, "cpu_s": 1.0, "peak_rss_mb": 30.0})
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    listing = f"{hashlib.sha256(csv).hexdigest()}  rho_pu0.csv\n"
+    digest = hashlib.sha256(listing.encode()).hexdigest()
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    pinned = fake_root(tmp_path / "pinned", digest)
+    repinned = fake_root(tmp_path / "repinned", "0" * 64)
+    assert bench.run_preset(pinned, 1)["digest_ok"] is True
+    assert bench.run_preset(repinned, 1)["digest_ok"] is False

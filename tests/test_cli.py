@@ -17,13 +17,24 @@ from hypothesis import strategies as st
 from skolemhop import cli, hopping, skolem
 from skolemhop.protocol import PROTOCOLS
 from skolemhop.skolem import EssSequence
+from skolemhop.spec import (
+    _KEYS,
+    _VARIATION_KEYS,
+    ExperimentSpec,
+    SpecError,
+    Variation,
+    parse_experiment_text,
+    preset,
+    render_experiment_spec,
+    variation_seed,
+)
 
 
 def run_cli(args):
     return cli.main(args)
 
 
-# The language of `cli._NAME_PATTERN`, [A-Za-z0-9._-]+, drawn as text: faster than from_regex.
+# The language of `spec._NAME_PATTERN`, [A-Za-z0-9._-]+, drawn as text: faster than from_regex.
 NAME_CHARS = string.ascii_letters + string.digits + "._-"
 
 
@@ -367,7 +378,7 @@ class TestProcessExit:
 
 class TestSpecParsing:
     def test_tiny_spec(self):
-        spec = cli.parse_experiment_text(TINY_SPEC)
+        spec = parse_experiment_text(TINY_SPEC)
         assert spec.seed == 99
         assert len(spec.variations) == 2
         first = spec.variations[0]
@@ -376,40 +387,40 @@ class TestSpecParsing:
         assert first.horizon == 150
 
     def test_empty_spec_rejected(self):
-        with pytest.raises(cli.SpecError):
-            cli.parse_experiment_text("")
+        with pytest.raises(SpecError):
+            parse_experiment_text("")
 
     def test_unknown_key_rejected(self):
         # In a [variation] block, above the first one, and a line that sets no key.
         for text, message in (("[variation]\nflux = 9\n", "unknown variation key"),
                               ("flux = 9\n[variation]\n", "unknown global key"),
                               ("[variation]\nflux 9\n", "expected 'key = value'")):
-            with pytest.raises(cli.SpecError, match=message):
-                cli.parse_experiment_text(text)
+            with pytest.raises(SpecError, match=message):
+                parse_experiment_text(text)
 
     def test_duplicate_names_rejected(self):
         text = "[variation]\nname = a\n\n[variation]\nname = a\n"
-        with pytest.raises(cli.SpecError, match="duplicate"):
-            cli.parse_experiment_text(text)
+        with pytest.raises(SpecError, match="duplicate"):
+            parse_experiment_text(text)
 
     def test_bad_value_rejected(self):
-        with pytest.raises(cli.SpecError, match="bad value"):
-            cli.parse_experiment_text("[variation]\npairs = many\n")
+        with pytest.raises(SpecError, match="bad value"):
+            parse_experiment_text("[variation]\npairs = many\n")
 
     def test_comments_and_blanks_ignored(self):
-        spec = cli.parse_experiment_text("# hi\n\n[variation]\nname = x  # tail\n")
+        spec = parse_experiment_text("# hi\n\n[variation]\nname = x  # tail\n")
         assert spec.variations[0].name == "x"
 
     @pytest.mark.parametrize("name", cli.PRESETS)
     def test_presets_roundtrip(self, name):
-        spec = cli.preset(name)
-        assert cli.parse_experiment_text(cli.render_experiment_spec(spec)) == spec
+        spec = preset(name)
+        assert parse_experiment_text(render_experiment_spec(spec)) == spec
 
     def test_preset_shapes(self):
-        fig2 = cli.preset("delivery-rate")
+        fig2 = preset("delivery-rate")
         assert len(fig2.variations) == 12
         assert {v.pu for v in fig2.variations} == {0.0, 25.0, 50.0, 75.0}
-        fig3 = cli.preset("latency")
+        fig3 = preset("latency")
         assert {v.protocol for v in fig3.variations} == {"sass", "rch", "css"}
         assert all(v.horizon == 200 for v in fig3.variations)
 
@@ -428,7 +439,7 @@ class TestSpecParsing:
             ("css-latency", "css", 12, "padding", 25.0, None, None, 1000, 200, 400, None),
         ]
         for name, expected in (("delivery-rate", delivery_rate), ("latency", latency)):
-            spec = cli.preset(name)
+            spec = preset(name)
             assert (spec.seed, spec.out) == (20260801, "results")
             assert [dataclasses.astuple(v) for v in spec.variations] == expected
 
@@ -437,7 +448,7 @@ class TestSpecParsing:
         out=st.text(alphabet=NAME_CHARS + "/", min_size=1),
         variations=st.lists(
             st.builds(
-                cli.Variation,
+                Variation,
                 name=st.text(alphabet=NAME_CHARS, min_size=1),
                 protocol=st.sampled_from(["sass", "rch", "css"]),
                 channels=st.integers(-5, 10**6),
@@ -457,17 +468,17 @@ class TestSpecParsing:
     )
     @example(
         seed=1, out="results",
-        variations=[cli.Variation("a", "sass", 12, "padding", 12.3456789, None, None,
+        variations=[Variation("a", "sass", 12, "padding", 12.3456789, None, None,
                                   10, 10, 400, None)],
     )
     @example(
         seed=1, out="results",
-        variations=[cli.Variation("a", "sass", 12, "padding", None, 2, 1234567.0,
+        variations=[Variation("a", "sass", 12, "padding", None, 2, 1234567.0,
                                   10, 10, 400, -3)],
     )
     def test_render_roundtrip(self, seed, out, variations):
-        spec = cli.ExperimentSpec(seed=seed, out=out, variations=tuple(variations))
-        assert cli.parse_experiment_text(cli.render_experiment_spec(spec)) == spec
+        spec = ExperimentSpec(seed=seed, out=out, variations=tuple(variations))
+        assert parse_experiment_text(render_experiment_spec(spec)) == spec
 
     def test_readme_key_table_matches_grammar(self):
         # Each row of the README's key table, in order: the key, its default as
@@ -475,9 +486,9 @@ class TestSpecParsing:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = readme.split("| key | default | scope | meaning |\n|---|---|---|---|\n", 1)[1]
         rows = [line.strip("| ").split(" | ") for line in table.split("\n\n", 1)[0].splitlines()]
-        assert [row[0] for row in rows] == [f"`{key}`" for key in cli._KEYS]
-        for (_, default, scope, _), (key, meta) in zip(rows, cli._KEYS.items()):
-            if key not in cli._VARIATION_KEYS:
+        assert [row[0] for row in rows] == [f"`{key}`" for key in _KEYS]
+        for (_, default, scope, _), (key, meta) in zip(rows, _KEYS.items()):
+            if key not in _VARIATION_KEYS:
                 assert scope == "global only", key
             else:
                 assert scope == ("global" if meta["above"] else "variation"), key
@@ -487,8 +498,9 @@ class TestSpecParsing:
                 assert default.startswith("`<protocol>-pu<pu>`" if key == "name" else "unset"), key
 
     def test_unknown_preset(self):
-        with pytest.raises(cli.SpecError):
-            cli.preset("figure-9")
+        # The parser offers cli.PRESETS without loading the grammar: the names agree.
+        with pytest.raises(SpecError, match=f"; available: {', '.join(cli.PRESETS)}$"):
+            preset("figure-9")
 
 
 class TestExperimentCommand:
@@ -764,28 +776,33 @@ class TestExperimentCommand:
             assert (out_dir / name).read_text().splitlines() == expected
 
     def test_commands_without_simulation_leave_numpy_random_unloaded(self, tmp_path):
-        # Each in a fresh interpreter: only the simulating commands import numpy at all,
-        # and none of these imports pickle, which only the worker pool uses.
+        # Each in a fresh interpreter: only the simulating commands import numpy at all, and
+        # none of these imports pickle, which only the worker pool uses. Only experiment
+        # loads the spec grammar, whose dataclasses import inspect.
         empty_spec = tmp_path / "empty.spec"
         empty_spec.write_text("")
         script = (
             "import sys\n"
             "from skolemhop import cli\n"
-            "code = cli.main(sys.argv[1:])\n"
-            "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules,\n"
-            "      'pickle' in sys.modules)\n"
+            "try:\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "except SystemExit as exc:  # --help\n"
+            "    code = exc.code\n"
+            "print(code, *[m for m in ('numpy', 'numpy.random', 'pickle', 'dataclasses',\n"
+            "                          'inspect') if m in sys.modules])\n"
         )
-        for args, code in [
-            (["theorems", "12"], 0),
-            (["theorems", "6"], 2),
-            (["sequence", "--order", "11"], 0),
-            (["sequence", "--channels", "10"], 0),
-            (["experiment", "--dump-default", "-"], 0),
-            (["experiment", str(empty_spec)], 2),
+        for args, code, loaded in [
+            (["theorems", "12"], 0, ""),
+            (["theorems", "6"], 2, ""),
+            (["sequence", "--order", "11"], 0, ""),
+            (["sequence", "--channels", "10"], 0, ""),
+            (["--help"], 0, ""),
+            (["experiment", "--dump-default", "-"], 0, " dataclasses inspect"),
+            (["experiment", str(empty_spec)], 2, " dataclasses inspect"),
         ]:
             result = run_python("-c", script, *args)
             assert result.returncode == 0, result.stderr
-            assert result.stdout.splitlines()[-1] == f"{code} False False False", args
+            assert result.stdout.splitlines()[-1] == f"{code}{loaded}", args
 
     def test_pool_parent_leaves_pool_modules_and_numpy_random_unloaded(self, tmp_path):
         spec_path = tmp_path / "tiny.spec"
@@ -850,11 +867,11 @@ class TestExperimentCommand:
     def test_dump_default_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "default.spec"
         assert run_cli(["experiment", "--dump-default", str(path)]) == 0
-        spec = cli.parse_experiment_text(path.read_text())
-        assert spec == cli.preset("delivery-rate")
+        spec = parse_experiment_text(path.read_text())
+        assert spec == preset("delivery-rate")
         path = tmp_path / "latency.spec"
         assert run_cli(["experiment", "--preset", "latency", "--dump-default", str(path)]) == 0
-        assert cli.parse_experiment_text(path.read_text()) == cli.preset("latency")
+        assert parse_experiment_text(path.read_text()) == preset("latency")
 
     def test_dump_default_stdout(self, capsys):
         assert run_cli(["experiment", "--dump-default"]) == 0
@@ -951,7 +968,7 @@ class TestExperimentCommand:
         assert not (out_dir / "rho_pu-0.csv").exists()
 
     def test_negative_zero_pu_default_name(self):
-        spec = cli.parse_experiment_text("[variation]\nprotocol = sass\npu = -0\n")
+        spec = parse_experiment_text("[variation]\nprotocol = sass\npu = -0\n")
         assert spec.variations[0].name == "sass-pu0"
 
     def test_records_flag(self, tmp_path):
@@ -1029,6 +1046,6 @@ class TestExperimentCommand:
 
 class TestSeedMixing:
     def test_variation_seeds_stable_under_append(self):
-        assert cli.variation_seed(7, 0) == cli.variation_seed(7, 0)
-        assert cli.variation_seed(7, 0) != cli.variation_seed(7, 1)
-        assert cli.variation_seed(7, 3) != cli.variation_seed(8, 3)
+        assert variation_seed(7, 0) == variation_seed(7, 0)
+        assert variation_seed(7, 0) != variation_seed(7, 1)
+        assert variation_seed(7, 3) != variation_seed(8, 3)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skolemhop import cli, simenv
+from skolemhop import simenv, spec
 from skolemhop import protocol as protocol_module
 from skolemhop.protocol import (
     PROTOCOLS,
@@ -383,7 +383,8 @@ class TestPresetMissyncs:
     ], ids=["sass-pu25-954", "sass-pu75-568"])
     def test_probe_tie_commits_first_candidate(self, pu, pair_index, drift, f0, deliveries,
                                                committed):
-        config = next(config for _, config, label in cli._resolve_all(cli.preset("delivery-rate"))
+        resolved = spec._resolve_all(spec.preset("delivery-rate"))
+        config = next(config for _, config, label in resolved
                       if config.protocol == "sass" and label == pu)
         trace = PairSimulation(config, pair_index).run()
         assert (trace.drift, trace.committed_offset, trace.missync) == (drift, committed, True)

@@ -280,6 +280,42 @@ class TestPairRows:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    @pytest.mark.parametrize("pairs,horizon", [(1000, 1000), (1000, 200), (4, 20_000)])
+    def test_bundled_sizes_reduce_in_one_block(self, pairs, horizon):
+        # The delivery-rate preset, latency and the benchmark's long-horizon-records.
+        width = metrics.RHO_BLOCK_BYTES // (16 * pairs)
+        assert width >= len(metrics.rho_sample_points(horizon))
+
+    @pytest.mark.parametrize("pairs,horizon,budget", [
+        (300, 1000, 16 * 300),  # one point a block
+        (300, 1000, 16 * 300 * 7),  # 280 points in blocks of 7
+        (5, 20_000, 16 * 5 * 1000),  # 2180 points in blocks of 1000
+    ])
+    def test_blocks_give_the_one_block_floats(self, monkeypatch, pairs, horizon, budget):
+        rng = np.random.default_rng(pairs + horizon)
+        points = metrics.rho_sample_points(horizon)
+        counts = np.sort(rng.integers(0, horizon + 1, (pairs, len(points))), axis=1)
+        rows = metrics.PairRows(horizon, counts.astype(np.min_scalar_type(horizon)),
+                                [None] * pairs, [None] * pairs)
+        whole = metrics.rho_series(rows)
+        monkeypatch.setattr(metrics, "RHO_BLOCK_BYTES", budget)
+        assert metrics.rho_series(rows) == whole
+
+    def test_reduction_memory_stays_within_the_block_budget(self):
+        # 20 000 pairs x 200 points: the rho values and std's deviations took 16 B per pair
+        # and point, 61 MiB, above the rows; a block of points takes at most the budget.
+        rng = np.random.default_rng(5)
+        counts = np.sort(rng.integers(0, 201, (20_000, 200)), axis=1).astype(np.uint8)
+        rows = metrics.PairRows(200, counts, [None] * 20_000, [None] * 20_000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            metrics.rho_series(rows)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= metrics.RHO_BLOCK_BYTES
+
     def test_no_traces(self):
         for reduce in (metrics.rho_series, metrics.latency_report, metrics.missync_rate):
             with pytest.raises(ValueError, match="no traces"):
@@ -311,7 +347,7 @@ FLOATS = (st.sampled_from([-0.0, 5e-324, 1e300, float("nan"), float("inf"), -flo
 NULLABLE = st.none() | FLOATS
 PU_LABEL = st.floats().map(lambda pu: f"{pu + 0.0:g}")
 COUNT = st.integers(0, 10**9)
-# The language of `cli._NAME_PATTERN`, [A-Za-z0-9._-]+, drawn as text: faster than from_regex.
+# The language of `spec._NAME_PATTERN`, [A-Za-z0-9._-]+, drawn as text: faster than from_regex.
 NAMES = st.text(alphabet=string.ascii_letters + string.digits + "._-", min_size=1)
 # Each CSV file: its writer, its header and a strategy for its rows.
 CSV_FILES = {
