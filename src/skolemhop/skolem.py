@@ -58,7 +58,7 @@ def verify_skolem(values: Sequence[int], zero_based: bool = False) -> bool:
     return seen_twice == set(range(lo, lo + distinct)) and len(first) == distinct
 
 
-class _EssFields(NamedTuple):
+class _EssFields(NamedTuple):  # a NamedTuple may not define __new__: EssSequence does
     order: int
     values: tuple[int, ...]
 
